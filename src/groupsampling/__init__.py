@@ -11,7 +11,7 @@ from .errors import (CapExceededError, DimensionMismatchError, FrameConditionErr
                      GroupMismatchError, SchemaError, SingularCharacterError)
 from .groups import (Character, GroupElement, GroupSequence, GroupSpec, ProductSubgroup,
                      add, character_value, convolve, convolve_fft, coset_representatives,
-                     dft, idft, involution, neg, sub)
+                     dft, idft, involution, neg)
 from .systems import (SequenceMatrix, TransferMatrix, VectorSequence, adjoint_system,
                       apply, compose, from_transfer, transfer)
 from .frames import (FrameDiagnostics, GRAM_BOUND_SCALE, check_determinant_sandwich,

@@ -7,6 +7,7 @@ exit code 2 instead of silently changing a run.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,21 +75,25 @@ def parse_sequence(data: dict, group: GroupSpec, where: str) -> GroupSequence:
     return GroupSequence(group, np.asarray(re) + 1j * np.asarray(im))
 
 
+@contextmanager
+def _schema_errors(where: str):
+    """Report the library's own validation failures as configuration errors."""
+    try:
+        yield
+    except ValueError as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
+
+
 def _parse_group(data: dict, where: str) -> GroupSpec:
     moduli = _int_list(data["moduli"], f"{where}.moduli")
-    if any(m < 1 for m in moduli):
-        raise SchemaError(f"{where}.moduli: moduli must be >= 1, got {list(moduli)}")
-    return GroupSpec(moduli)
+    with _schema_errors(f"{where}.moduli"):
+        return GroupSpec(moduli)
 
 
 def _parse_strides(data, group: GroupSpec, where: str) -> ProductSubgroup:
     strides = _int_list(data, where)
-    if len(strides) != group.ndim:
-        raise SchemaError(f"{where}: expected {group.ndim} strides")
-    for d, s in zip(strides, group.moduli):
-        if d < 1 or s % d != 0:
-            raise SchemaError(f"{where}: stride {d} does not divide modulus {s}")
-    return ProductSubgroup(group, strides)
+    with _schema_errors(where):
+        return ProductSubgroup(group, strides)
 
 
 def parse_model(data: dict, where: str = "model"):
@@ -117,10 +122,8 @@ def parse_model(data: dict, where: str = "model"):
         gamma = data["Gamma"]
         if gamma not in ("C1", "C2", "C4"):
             raise SchemaError(f"{where}.Gamma: expected one of C1, C2, C4, got {gamma!r}")
-        try:
+        with _schema_errors(where):
             return SemidirectModel(group, gamma, sub, phi, varphi)
-        except ValueError as exc:
-            raise SchemaError(f"{where}: {exc}") from exc
     raise SchemaError(f"{where}.type: expected 'translation' or 'semidirect', got {kind!r}")
 
 
@@ -208,15 +211,9 @@ def parse_config(data: dict) -> ScenarioConfig:
             raise SchemaError("config.finite_index: not supported for semidirect models")
         block = data["finite_index"]
         _require_keys(block, {"strides"}, {"strides"}, "config.finite_index")
-        strides = _int_list(block["strides"], "config.finite_index.strides")
-        habs = model.subgroup.abstract_group
-        if len(strides) != habs.ndim:
-            raise SchemaError(f"config.finite_index.strides: expected {habs.ndim} strides")
-        for e, s in zip(strides, habs.moduli):
-            if e < 1 or s % e != 0:
-                raise SchemaError(
-                    f"config.finite_index.strides: stride {e} does not divide {s}")
-        finite_index = strides
+        finite_index = _int_list(block["strides"], "config.finite_index.strides")
+        with _schema_errors("config.finite_index.strides"):
+            model.subgroup.refine(finite_index)
 
     left = LeftInverseChoice()
     if "left_inverse" in data:

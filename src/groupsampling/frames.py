@@ -31,6 +31,10 @@ DEFAULT_ORACLE_CAP = 4096
 _DEFAULT_REL_TOL = 1e-10
 
 
+def _riesz_tol(tol: float) -> float:
+    return math.sqrt(tol) if tol > 0 else 0.0
+
+
 @dataclass(frozen=True)
 class FrameDiagnostics:
     """Spectral summary of a convolution system over all characters."""
@@ -49,7 +53,7 @@ class FrameDiagnostics:
 
     def riesz_tol(self) -> float:
         """Square-root-scale tolerance used for determinant-based verdicts."""
-        return math.sqrt(self.tol) if self.tol > 0 else 0.0
+        return _riesz_tol(self.tol)
 
     def to_json_dict(self) -> dict:
         coords = self.group.coords_array
@@ -94,8 +98,7 @@ def diagnostics(a: SequenceMatrix, tol: float | None = None) -> FrameDiagnostics
     is_riesz = False
     if a.rows == a.cols:
         min_abs_det = float(np.abs(np.linalg.det(t.matrices)).min())
-        riesz_tol = math.sqrt(effective_tol) if effective_tol > 0 else 0.0
-        is_riesz = min_abs_det > riesz_tol
+        is_riesz = min_abs_det > _riesz_tol(effective_tol)
     return FrameDiagnostics(
         group=a.group,
         rows=a.rows,

@@ -11,9 +11,11 @@ Conventions, fixed once for the whole package:
   - inverse transform carries the 1/|H| factor
   - inner product      <x, y> = sum_h x(h) * conj(y(h))
 
-Convolutions and inner products are evaluated with exactly rounded
+:func:`convolve` and inner products are evaluated with exactly rounded
 (order-independent) summation so that algebraically equal regroupings of the
-same sums agree bitwise.
+same sums agree bitwise.  :func:`convolve_fft` is the fast path; it works on
+stacks of sequences through the batched transform pair ``GroupSpec.fft`` and
+``GroupSpec.ifft``.
 """
 
 from __future__ import annotations
@@ -31,10 +33,6 @@ from .errors import GroupMismatchError
 # Full subtraction tables are cached only below this order; larger groups
 # recompute rows on the fly.
 _SUB_TABLE_MAX_ORDER = 1024
-
-
-def _fsum(values: np.ndarray) -> float:
-    return math.fsum(values.tolist())
 
 
 def exact_dot(a: np.ndarray, b: np.ndarray) -> complex:
@@ -135,6 +133,21 @@ class GroupSpec:
         """Indices of g - t for every g; gathering with it implements T_t."""
         return self.ravel(self.coords_array - self.coords_array[t])
 
+    def _over_factors(self, transform, values: np.ndarray) -> np.ndarray:
+        # row-major enumeration: the last axis reshapes to one axis per factor
+        batch = values.shape[:-1]
+        axes = tuple(range(len(batch), len(batch) + self.ndim))
+        spread = transform(values.reshape(*batch, *self.moduli), axes=axes)
+        return spread.reshape(*batch, self.order)
+
+    def fft(self, values: np.ndarray) -> np.ndarray:
+        """Forward transform of each sequence in a (..., order) stack."""
+        return self._over_factors(np.fft.fftn, values)
+
+    def ifft(self, values: np.ndarray) -> np.ndarray:
+        """Inverse of :meth:`fft`; carries the 1/order factor."""
+        return self._over_factors(np.fft.ifftn, values)
+
 
 @dataclass(frozen=True)
 class GroupElement:
@@ -172,11 +185,6 @@ def add(a: GroupElement, b: GroupElement) -> GroupElement:
 def neg(a: GroupElement) -> GroupElement:
     """Additive inverse."""
     return GroupElement(a.group, tuple(-x for x in a.coords))
-
-
-def sub(a: GroupElement, b: GroupElement) -> GroupElement:
-    _same_group(a.group, b.group, "cannot subtract elements of different groups")
-    return GroupElement(a.group, tuple(x - y for x, y in zip(a.coords, b.coords)))
 
 
 @dataclass(frozen=True)
@@ -281,14 +289,12 @@ class GroupSequence:
 
 def dft(x: GroupSequence) -> GroupSequence:
     """Forward transform, unnormalized: x^(xi) = sum_h x(h) conj(xi(h))."""
-    spread = np.fft.fftn(x.values.reshape(x.group.moduli))
-    return GroupSequence(x.group, spread.reshape(-1))
+    return GroupSequence(x.group, x.group.fft(x.values))
 
 
 def idft(x: GroupSequence) -> GroupSequence:
     """Inverse transform; carries the 1/|H| factor."""
-    spread = np.fft.ifftn(x.values.reshape(x.group.moduli))
-    return GroupSequence(x.group, spread.reshape(-1))
+    return GroupSequence(x.group, x.group.ifft(x.values))
 
 
 def convolve(a: GroupSequence, x: GroupSequence) -> GroupSequence:
@@ -301,10 +307,15 @@ def convolve(a: GroupSequence, x: GroupSequence) -> GroupSequence:
     return GroupSequence(g, out)
 
 
-def convolve_fft(a: GroupSequence, x: GroupSequence) -> GroupSequence:
-    """Fourier-domain convolution; agrees with :func:`convolve` to round-off."""
+def convolve_fft(a, x):
+    """Fourier-domain convolution; agrees with :func:`convolve` to round-off.
+
+    Either argument may be a stack (VectorSequence, SequenceMatrix) whose
+    (..., |H|) values broadcast against the other's; the result has a's type.
+    """
     _same_group(a.group, x.group, "cannot convolve sequences on different groups")
-    return idft(GroupSequence(a.group, dft(a).values * dft(x).values))
+    g = a.group
+    return type(a)(g, g.ifft(g.fft(a.values) * g.fft(x.values)))
 
 
 def involution(a: GroupSequence) -> GroupSequence:
@@ -357,10 +368,7 @@ class ProductSubgroup:
 
     def refine(self, inner_strides: Sequence[int]) -> ProductSubgroup:
         """Subgroup of the parent whose abstract form is cut by further strides."""
-        inner = tuple(int(e) for e in inner_strides)
-        for e, s in zip(inner, self.abstract_group.moduli):
-            if e < 1 or s % e != 0:
-                raise ValueError(f"stride {e} does not divide abstract modulus {s}")
+        inner = ProductSubgroup(self.abstract_group, inner_strides).strides
         return ProductSubgroup(self.parent, tuple(d * e for d, e in zip(self.strides, inner)))
 
 

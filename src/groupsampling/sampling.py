@@ -22,8 +22,8 @@ from .duals import (LeftInverse, left_inverse_family, moore_penrose, square_inve
 from .errors import (DimensionMismatchError, FrameConditionError, GroupMismatchError,
                      SingularCharacterError)
 from .frames import FrameDiagnostics, diagnostics
-from .groups import (GroupElement, GroupSequence, ProductSubgroup,
-                     coset_representatives, convolve, involution)
+from .groups import (GroupElement, GroupSequence, ProductSubgroup, convolve_fft,
+                     coset_representatives, involution)
 from .models import (FunctionOnG, SemidirectModel, TranslationModel,
                      analysis_transform, coefficients_of, rotate_sequence,
                      sample_matrix, synthesize)
@@ -151,22 +151,27 @@ def build_sampling_functions(proc: SamplingProcedure) -> SamplingFunctions:
                              coefficient_frame_bounds=bounds)
 
 
+def _sum_translates(proc: SamplingProcedure, samples: SampleSet,
+                    kernels: np.ndarray) -> np.ndarray:
+    """The sampling formula sum_m sum_h s_m(h) T_{embed(h)} K_m as one convolution.
+
+    The samples are placed on the embedded lattice; their spectra multiply
+    those of the kernels K_m, stacked on the second-to-last axis of
+    ``kernels`` (leading axes are a batch), and are summed over channels.
+    """
+    g = proc.model.ambient
+    upsampled = np.zeros((proc.n_channels, g.order), dtype=np.complex128)
+    upsampled[:, proc.model.subgroup.embedding_indices] = samples.values
+    return g.ifft((g.fft(kernels) * g.fft(upsampled)).sum(axis=-2))
+
+
 def reconstruct_function(proc: SamplingProcedure, samples: SampleSet) -> FunctionOnG:
-    """Direct summation of translated sampling functions against the samples."""
+    """Sum of the sampling functions translated over the lattice, weighted by the samples."""
     if samples.n_components != proc.n_channels:
         raise DimensionMismatchError(
             f"expected {proc.n_channels} sample channels, got {samples.n_components}")
-    ambient = proc.model.ambient
-    emb = proc.model.subgroup.embedding_indices
-    total = np.zeros(ambient.order, dtype=np.complex128)
-    funcs = proc.sampling_functions.functions
-    for m in range(proc.n_channels):
-        s_values = funcs[m].flat()
-        for k, parent_idx in enumerate(emb):
-            weight = samples.values[m, k]
-            if weight != 0:
-                total = total + weight * s_values[ambient.translation_perm(int(parent_idx))]
-    return FunctionOnG(ambient, total)
+    kernels = np.stack([s.flat() for s in proc.sampling_functions.functions])
+    return FunctionOnG(proc.model.ambient, _sum_translates(proc, samples, kernels))
 
 
 def shannon_procedure(model: TranslationModel, tol: float | None = None) -> SamplingProcedure:
@@ -300,14 +305,12 @@ def finite_index_procedure(model: TranslationModel, inner_strides,
     """
     red = finite_index_model(model, inner_strides)
     needed = model.n_generators * red.cosets
-    if system is None and probes is not None and len(probes) < needed:
-        raise DimensionMismatchError(
-            f"need at least {needed} sample channels for {model.n_generators} "
-            f"generators regrouped over {red.cosets} cosets; got {len(probes)}")
-    if system is not None and system.rows < needed:
-        raise DimensionMismatchError(
-            f"need at least {needed} sample channels for {model.n_generators} "
-            f"generators regrouped over {red.cosets} cosets; got {system.rows}")
+    if system is not None or probes is not None:
+        channels = system.rows if system is not None else len(probes)
+        if channels < needed:
+            raise DimensionMismatchError(
+                f"need at least {needed} sample channels for {model.n_generators} "
+                f"generators regrouped over {red.cosets} cosets; got {channels}")
     return make_procedure(red.model, system=system, probes=probes,
                           left_inverse=left_inverse, c=c, tol=tol)
 
@@ -351,19 +354,10 @@ def semidirect_sample_and_reconstruct(model: SemidirectModel,
     if proc.model.n_generators != model.n_rotations:
         raise DimensionMismatchError(
             "procedure generators do not match the rotation group")
-    x = coefficients_of(proc.model, f)
-    samples = take_samples(proc, x)
-    betas = proc.sampling_functions.betas
-    emb = model.lattice.embedding_indices
-    torus = model.torus
-    sectors = np.zeros((model.n_rotations, torus.order), dtype=np.complex128)
-    for i in range(model.n_rotations):
-        window = rotate_sequence(model, i, model.phi)
-        flipped = involution(window)
-        for m in range(proc.n_channels):
-            s_m = convolve(betas[m], flipped).values
-            for k, parent_idx in enumerate(emb):
-                weight = samples.values[m, k]
-                if weight != 0:
-                    sectors[i] += weight * s_m[torus.translation_perm(int(parent_idx))]
-    return FunctionOnG(torus, sectors)
+    samples = take_samples(proc, coefficients_of(proc.model, f))
+    # kernel (i, m) is beta_m correlated with the window rotated into sector i
+    windows = SequenceMatrix(model.torus,
+                             [[involution(rotate_sequence(model, i, model.phi)).values]
+                              for i in range(model.n_rotations)])
+    kernels = convolve_fft(windows, VectorSequence.from_components(proc.sampling_functions.betas))
+    return FunctionOnG(model.torus, _sum_translates(proc, samples, kernels.values))

@@ -290,21 +290,14 @@ def apply(a: SequenceMatrix, x: VectorSequence) -> VectorSequence:
 def transfer(a: SequenceMatrix) -> TransferMatrix:
     """Entrywise forward transform, one complex matrix per character (cached)."""
     if a._transfer is None:
-        moduli = a.group.moduli
-        axes = tuple(range(2, 2 + len(moduli)))
-        spread = np.fft.fftn(a.values.reshape(a.rows, a.cols, *moduli), axes=axes)
-        mats = np.moveaxis(spread.reshape(a.rows, a.cols, a.group.order), -1, 0)
+        mats = np.moveaxis(a.group.fft(a.values), -1, 0)
         object.__setattr__(a, "_transfer", TransferMatrix(a.group, mats))
     return a._transfer
 
 
 def from_transfer(t: TransferMatrix) -> SequenceMatrix:
     """Entrywise inverse transform; the result caches the given transfer."""
-    moduli = t.group.moduli
-    axes = tuple(range(2, 2 + len(moduli)))
-    stacked = np.moveaxis(t.matrices, 0, -1)
-    seqs = np.fft.ifftn(stacked.reshape(t.rows, t.cols, *moduli), axes=axes)
-    result = SequenceMatrix(t.group, seqs.reshape(t.rows, t.cols, t.group.order))
+    result = SequenceMatrix(t.group, t.group.ifft(np.moveaxis(t.matrices, 0, -1)))
     object.__setattr__(result, "_transfer", t)
     return result
 
