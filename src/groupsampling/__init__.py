@@ -14,8 +14,8 @@ from .groups import (Character, GroupElement, GroupSequence, GroupSpec, ProductS
                      dft, idft, involution, neg)
 from .systems import (SequenceMatrix, TransferMatrix, VectorSequence, adjoint_system,
                       apply, compose, from_transfer, transfer)
-from .frames import (FrameDiagnostics, GRAM_BOUND_SCALE, check_determinant_sandwich,
-                     diagnostics, kernel_witness, oracle_frame_bounds)
+from .frames import (FrameDiagnostics, check_determinant_sandwich, diagnostics,
+                     kernel_witness, oracle_frame_bounds)
 from .duals import (LeftInverse, left_inverse_family, moore_penrose, square_inverse,
                     verify_left_inverse)
 from .models import (FunctionOnG, ReproducingKernel, SemidirectModel, SemidirectReduction,

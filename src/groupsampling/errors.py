@@ -15,14 +15,16 @@ class FrameConditionError(ValueError):
     """A stability precondition (frame or Riesz) is violated.
 
     Carries the determinant infimum that failed the test so callers can
-    report how far the system is from stability.
+    report how far the system is from stability, and, where known, the
+    coordinates ``xi`` of the character at which that infimum is attained.
     """
 
     def __init__(self, message: str, *, delta: float | None = None,
-                 tol: float | None = None) -> None:
+                 tol: float | None = None, xi: tuple[int, ...] | None = None) -> None:
         super().__init__(message)
         self.delta = delta
         self.tol = tol
+        self.xi = xi
 
 
 class SingularCharacterError(ValueError):

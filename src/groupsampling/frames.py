@@ -18,13 +18,6 @@ from .errors import CapExceededError
 from .groups import GroupSpec
 from .systems import SequenceMatrix, TransferMatrix, VectorSequence, from_transfer, transfer
 
-# Frame bounds read off the transfer matrices coincide with the extreme
-# eigenvalues of the brute-force translate Gram matrix under the package's
-# transform convention (unnormalized forward, 1/|H| inverse); the conversion
-# constant between the two computations is therefore exactly one.  It is kept
-# explicit so the equality is stated and tested rather than implicit.
-GRAM_BOUND_SCALE = 1.0
-
 DEFAULT_ORACLE_CAP = 4096
 
 # Relative scale of the default frame tolerance (times beta).
@@ -50,6 +43,7 @@ class FrameDiagnostics:
     tol: float              # effective tolerance used for the verdicts
     eigenvalues: np.ndarray  # (order, cols) ascending per character
     min_abs_det: float | None  # min |det A^(xi)| over characters (square systems)
+    worst_xi: tuple[int, ...]  # coordinates of the character where delta is attained
 
     def riesz_tol(self) -> float:
         """Square-root-scale tolerance used for determinant-based verdicts."""
@@ -92,7 +86,8 @@ def diagnostics(a: SequenceMatrix, tol: float | None = None) -> FrameDiagnostics
     alpha = float(eigs[:, 0].min())
     beta = float(eigs[:, -1].max())
     dets = eigs.prod(axis=1)
-    delta = float(dets.min())
+    worst = int(np.argmin(dets))
+    delta = float(dets[worst])
     effective_tol = float(tol) if tol is not None else _DEFAULT_REL_TOL * beta
     min_abs_det = None
     is_riesz = False
@@ -111,6 +106,7 @@ def diagnostics(a: SequenceMatrix, tol: float | None = None) -> FrameDiagnostics
         tol=effective_tol,
         eigenvalues=eigs,
         min_abs_det=min_abs_det,
+        worst_xi=tuple(int(c) for c in a.group.coords_array[worst]),
     )
 
 
@@ -125,7 +121,7 @@ def translate_analysis_matrix(a: SequenceMatrix) -> np.ndarray:
     order = g.order
     mat = np.empty((a.rows * order, a.cols * order), dtype=np.complex128)
     for h in range(order):
-        row = g.subtraction_row(h)  # indices of h - g'
+        row = g.subtraction_rows(h, h + 1)[0]  # indices of h - g'
         block = a.values[:, :, row]  # (M, N, order)
         mat[h::order, :] = block.reshape(a.rows, a.cols * order)
     return mat
@@ -134,8 +130,10 @@ def translate_analysis_matrix(a: SequenceMatrix) -> np.ndarray:
 def oracle_frame_bounds(a: SequenceMatrix, cap: int = DEFAULT_ORACLE_CAP) -> tuple[float, float]:
     """Extreme squared singular values of the dense translate analysis matrix.
 
-    Brute-force cross-check for :func:`diagnostics`; refuses to build matrices
-    beyond ``cap`` rows/columns.
+    Brute-force cross-check for :func:`diagnostics`: under the package's
+    transform convention (unnormalized forward, 1/|H| inverse) they equal its
+    ``alpha`` and ``beta``.  Refuses to build matrices beyond ``cap``
+    rows/columns.
     """
     order = a.group.order
     if order * max(a.rows, a.cols) > cap:
@@ -146,7 +144,7 @@ def oracle_frame_bounds(a: SequenceMatrix, cap: int = DEFAULT_ORACLE_CAP) -> tup
     upper = float(svals[0] ** 2) if svals.size else 0.0
     # the domain has cols*order dimensions; missing singular values are zeros
     lower = float(svals[-1] ** 2) if mat.shape[0] >= mat.shape[1] else 0.0
-    return (GRAM_BOUND_SCALE * lower, GRAM_BOUND_SCALE * upper)
+    return (lower, upper)
 
 
 def check_determinant_sandwich(a: SequenceMatrix, slack: float = 1e-9) -> bool:

@@ -112,13 +112,14 @@ def make_procedure(model: TranslationModel,
         raise FrameConditionError(
             f"sampling system is not stable: determinant infimum "
             f"delta={diag.delta:.6e} not above tolerance {diag.tol:.6e}",
-            delta=diag.delta, tol=diag.tol)
+            delta=diag.delta, tol=diag.tol, xi=diag.worst_xi)
     dual = _resolve_dual(system, left_inverse, c, tol)
     residual = verify_left_inverse(system, dual)
     if residual >= LEFT_INVERSE_RESIDUAL_TOL:
         raise FrameConditionError(
             f"left inverse residual {residual:.3e} exceeds "
-            f"{LEFT_INVERSE_RESIDUAL_TOL:.0e}", delta=diag.delta, tol=diag.tol)
+            f"{LEFT_INVERSE_RESIDUAL_TOL:.0e}", delta=diag.delta, tol=diag.tol,
+            xi=diag.worst_xi)
     return SamplingProcedure(model=model, system=system, diag=diag, dual=dual)
 
 

@@ -18,7 +18,8 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatchError, GroupMismatchError
-from .groups import GroupElement, GroupSequence, GroupSpec, exact_inner, exact_norm_sq
+from .groups import (GroupElement, GroupSequence, GroupSpec, _exact_convolve, exact_inner,
+                     exact_norm_sq)
 
 
 class VectorSequence:
@@ -253,30 +254,6 @@ class SequenceMatrix:
         return cls(group, values)
 
 
-def _exact_matrix_convolve(a_values: np.ndarray, x_values: np.ndarray,
-                           group: GroupSpec) -> np.ndarray:
-    """Brute-force matrix convolution with exactly rounded per-point sums.
-
-    out[m, h] = sum over (n, h') of a[m, n, h - h'] * x[n, h'].  Each output
-    point is one correctly rounded sum, so any regrouping of the same index
-    set (for instance the coset regrouping used for finite-index sampling)
-    produces bitwise identical samples.
-    """
-    m_rows = a_values.shape[0]
-    out = np.empty((m_rows, group.order), dtype=np.complex128)
-    xr, xi = x_values.real, x_values.imag
-    for h in range(group.order):
-        gathered = a_values[:, :, group.subtraction_row(h)]
-        ar, ai = gathered.real, gathered.imag
-        rr, ii = ar * xr, ai * xi
-        ri, ir = ar * xi, ai * xr
-        for m in range(m_rows):
-            re = math.fsum(np.concatenate([rr[m].ravel(), (-ii[m]).ravel()]).tolist())
-            im = math.fsum(np.concatenate([ri[m].ravel(), ir[m].ravel()]).tolist())
-            out[m, h] = complex(re, im)
-    return out
-
-
 def apply(a: SequenceMatrix, x: VectorSequence) -> VectorSequence:
     """Matrix convolution: component m of the result is sum_n a_{m,n} * x_n."""
     if a.group != x.group:
@@ -284,7 +261,7 @@ def apply(a: SequenceMatrix, x: VectorSequence) -> VectorSequence:
     if a.cols != x.n_components:
         raise DimensionMismatchError(
             f"system has {a.cols} columns but vector has {x.n_components} components")
-    return VectorSequence(a.group, _exact_matrix_convolve(a.values, x.values, a.group))
+    return VectorSequence(a.group, _exact_convolve(a.values, x.values, a.group))
 
 
 def transfer(a: SequenceMatrix) -> TransferMatrix:

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from groupsampling import (CapExceededError, GRAM_BOUND_SCALE, GroupSpec, SequenceMatrix,
-                           apply, check_determinant_sandwich, diagnostics, kernel_witness,
+from groupsampling import (CapExceededError, GroupSpec, SequenceMatrix, apply,
+                           check_determinant_sandwich, diagnostics, kernel_witness,
                            oracle_frame_bounds)
 
 
@@ -82,7 +82,6 @@ class TestOracle:
         assert lo == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_transfer_bounds(self):
-        assert GRAM_BOUND_SCALE == 1.0
         rng = np.random.default_rng(0)
         for _ in range(50):
             moduli = tuple(int(m) for m in rng.integers(1, 5, size=2))
