@@ -4,8 +4,13 @@
     python bench/stages.py --out BENCH.json --label parent --src /path/to/other/checkout/src
 
 Times ``convolve`` and ``apply`` (a 3x2 system) on square tori of order 64,
-256, 1024 and 2304, and ``verify --all`` end to end, each repeated
-``REPEATS`` times after one untimed call; reports the minimum and the median.
+256, 1024 and 2304; the stability verdicts ``diagnostics`` and
+``moore_penrose`` and ``left_inverse_family`` (6x4 systems) and
+``square_inverse`` (4x4) on the same tori and on order 4096, the size of the
+benchmark's ``stability_scan``; and ``verify --all`` end to end.  Each is
+repeated ``REPEATS`` times after one untimed call; reports the minimum and the
+median.  A verdict is timed on a new system object each call, so that its
+transfer is computed, not read from the cache.
 The package is imported from ``--src`` (default: this checkout's ``src/``),
 so two trees are compared by running the script once for each.  Each run
 replaces its label's entry in the ``--out`` file, keeps the other labels and
@@ -32,6 +37,7 @@ from time import perf_counter
 
 REPEATS = 5
 SIDES = (8, 16, 32, 48)  # square tori: |G| = 64, 256, 1024, 2304
+VERDICT_SIDES = SIDES + (64,)  # and |G| = 4096
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -64,6 +70,20 @@ def stages() -> dict:
         out[f"convolve/{g.order}"] = _timed(lambda: gs.convolve(a, x))
         out[f"apply_3x2/{g.order}"] = _timed(lambda: gs.apply(system, coeffs))
 
+    for side in VERDICT_SIDES:
+        g = gs.GroupSpec((side, side))
+        tall, square = draw((6, 4, g.order)), draw((4, 4, g.order))
+        c = gs.TransferMatrix(g, draw((g.order, 4, 6)))
+        verdicts = {
+            "diagnostics_6x4": lambda: gs.diagnostics(gs.SequenceMatrix(g, tall)),
+            "moore_penrose_6x4": lambda: gs.moore_penrose(gs.SequenceMatrix(g, tall)),
+            "left_inverse_family_6x4": lambda: gs.left_inverse_family(
+                gs.SequenceMatrix(g, tall), c),
+            "square_inverse_4x4": lambda: gs.square_inverse(gs.SequenceMatrix(g, square)),
+        }
+        for name, call in verdicts.items():
+            out[f"{name}/{g.order}"] = _timed(call)
+
     def verify_all():
         with contextlib.redirect_stdout(io.StringIO()):
             if cli.main(["verify", "--all", "--seed", "0"]) != 0:
@@ -89,7 +109,7 @@ def main(argv=None) -> int:
     record.setdefault("timings", {})[args.label] = timings
     args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     for name, t in timings.items():
-        print(f"{args.label:>8} {name:<16} min {t['min_s']:.4f} s  median {t['median_s']:.4f} s")
+        print(f"{args.label:>8} {name:<29} min {t['min_s']:.4f} s  median {t['median_s']:.4f} s")
     return 0
 
 

@@ -21,8 +21,8 @@ import numpy as np
 from .config import LeftInverseChoice, ScenarioConfig, parse_config
 from .duals import verify_left_inverse
 from .errors import FrameConditionError, SchemaError, SingularCharacterError
-from .frames import (check_determinant_sandwich, diagnostics, kernel_witness,
-                     oracle_frame_bounds)
+from .frames import (DEFAULT_ORACLE_CAP, check_determinant_sandwich, diagnostics,
+                     kernel_witness, oracle_frame_bounds)
 from .groups import GroupSequence, GroupSpec, convolve, dft, idft, involution
 from .models import (SemidirectModel, analysis_transform, compose_group_law,
                      quasi_regular_apply, sample_matrix, semidirect_analysis,
@@ -209,7 +209,7 @@ def _roundtrip_checks(runtime: ScenarioRuntime, proc: SamplingProcedure,
     two_path = analysis_transform(proc.model, synthesize(proc.model, back))
     checks.append(_check("two_path_residual", (out - two_path).max_abs() / scale,
                          residual_tol))
-    if proc.system.rows == proc.system.cols and proc.diag.is_riesz:
+    if proc.diag.is_riesz:
         checks.append(_check("interpolation_deviation", interpolation_check(proc),
                              config.tolerance("interpolation")))
     return checks
@@ -290,7 +290,7 @@ def _verify_checks(runtime: ScenarioRuntime, rng: np.random.Generator,
 
     diag = diagnostics(runtime.system, config.tolerance("frame"))
     order = runtime.system.group.order
-    if order * max(runtime.system.rows, runtime.system.cols) <= 4096:
+    if order * max(runtime.system.rows, runtime.system.cols) <= DEFAULT_ORACLE_CAP:
         lo, hi = oracle_frame_bounds(runtime.system)
         scale = max(diag.beta, 1e-30)
         bound_dev = max(abs(lo - diag.alpha), abs(hi - diag.beta)) / scale
@@ -307,7 +307,7 @@ def _verify_checks(runtime: ScenarioRuntime, rng: np.random.Generator,
                                     - np.eye(proc.system.cols)).max())
         checks.append(_check("left_inverse_residual", residual,
                              config.tolerance("left_inverse")))
-        if proc.system.rows == proc.system.cols and proc.diag.is_riesz:
+        if proc.diag.is_riesz:
             checks.append(_check("interpolation_deviation", interpolation_check(proc),
                                  config.tolerance("interpolation")))
     else:

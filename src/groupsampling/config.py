@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SchemaError
+from .frames import LEFT_INVERSE_RESIDUAL_TOL
 from .groups import GroupSequence, GroupSpec, ProductSubgroup
 from .models import SemidirectModel, SemidirectReduction, TranslationModel, semidirect_reduce
 from .systems import SequenceMatrix, TransferMatrix
@@ -20,7 +21,7 @@ from .systems import SequenceMatrix, TransferMatrix
 DEFAULT_TOLERANCES = {
     "frame": None,          # None selects the scale-aware default
     "residual": 1e-9,
-    "left_inverse": 1e-9,
+    "left_inverse": LEFT_INVERSE_RESIDUAL_TOL,
     "interpolation": 1e-8,
     "semidirect_residual": 1e-8,
     "foundation": 1e-10,

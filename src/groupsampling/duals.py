@@ -10,14 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatchError, FrameConditionError, SingularCharacterError
-from .frames import FrameDiagnostics, diagnostics
+from .errors import DimensionMismatchError
+from .frames import (NORMAL_EQUATIONS_MIN_RATIO, RANK_RTOL, FrameDiagnostics, diagnostics,
+                     require_frame)
 from .systems import SequenceMatrix, TransferMatrix, from_transfer, transfer
-
-# Conditioning threshold deciding between the normal-equation solve and the
-# SVD fallback for the pseudo-inverse.
-_NORMAL_EQUATION_MIN_COND = 1e-8
-_SVD_RANK_RTOL = 1e-12
 
 
 class LeftInverse:
@@ -45,23 +41,13 @@ class LeftInverse:
         return data
 
 
-def _require_frame(a: SequenceMatrix, tol: float | None) -> FrameDiagnostics:
-    diag = diagnostics(a, tol)
-    if not diag.is_frame:
-        raise FrameConditionError(
-            f"system is not a frame: determinant infimum delta={diag.delta:.6e} "
-            f"is not above tolerance {diag.tol:.6e}",
-            delta=diag.delta, tol=diag.tol)
-    return diag
-
-
 def _pseudo_inverse_matrices(a: SequenceMatrix, diag: FrameDiagnostics) -> np.ndarray:
     t = transfer(a).matrices
     th = np.conj(t.transpose(0, 2, 1))
     beta_scale = max(diag.beta, np.finfo(float).tiny) ** a.cols
-    if diag.delta / beta_scale > _NORMAL_EQUATION_MIN_COND:
+    if diag.delta / beta_scale > NORMAL_EQUATIONS_MIN_RATIO:
         return np.linalg.solve(np.matmul(th, t), th)
-    return np.linalg.pinv(t, rcond=_SVD_RANK_RTOL)
+    return np.linalg.pinv(t, rcond=RANK_RTOL)
 
 
 def moore_penrose(a: SequenceMatrix, tol: float | None = None) -> LeftInverse:
@@ -72,7 +58,7 @@ def moore_penrose(a: SequenceMatrix, tol: float | None = None) -> LeftInverse:
     degeneracy.  Requires the frame condition and reports the failing
     determinant infimum otherwise.
     """
-    diag = _require_frame(a, tol)
+    diag = require_frame(a, tol)
     mats = _pseudo_inverse_matrices(a, diag)
     return LeftInverse.from_transfer(TransferMatrix(a.group, mats), "moore_penrose")
 
@@ -85,7 +71,7 @@ def left_inverse_family(a: SequenceMatrix, c: TransferMatrix,
     if (c.rows, c.cols) != (a.cols, a.rows):
         raise DimensionMismatchError(
             f"family parameter must be {a.cols}x{a.rows}, got {c.rows}x{c.cols}")
-    diag = _require_frame(a, tol)
+    diag = require_frame(a, tol)
     t = transfer(a).matrices
     dag = _pseudo_inverse_matrices(a, diag)
     eye = np.eye(a.rows)
@@ -111,16 +97,8 @@ def square_inverse(a: SequenceMatrix, tol: float | None = None) -> LeftInverse:
     if a.rows != a.cols:
         raise DimensionMismatchError(
             f"square inverse needs a square system, got {a.rows}x{a.cols}")
-    diag = diagnostics(a, tol)
-    dets = np.abs(np.linalg.det(transfer(a).matrices))
-    threshold = diag.riesz_tol()
-    bad = np.nonzero(dets <= threshold)[0]
-    if bad.size:
-        coords = a.group.coords_array
-        offenders = [tuple(int(c) for c in coords[k]) for k in bad]
-        raise SingularCharacterError(
-            f"transfer matrix is singular at character {offenders[0]} "
-            f"(|det|={dets[bad[0]]:.3e}, threshold {threshold:.3e})",
-            offenders)
+    diagnostics(a, tol).require_invertible(
+        "transfer matrix is singular at character {xi} "
+        "(|det|={abs_det:.3e}, threshold {threshold:.3e})")
     mats = np.linalg.inv(transfer(a).matrices)
     return LeftInverse.from_transfer(TransferMatrix(a.group, mats), "square")

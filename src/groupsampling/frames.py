@@ -1,10 +1,11 @@
-"""Frame and Riesz diagnostics of translate families in the transfer domain.
+"""Frame and Riesz diagnostics in the transfer domain, and the one stability policy.
 
 For a system A, the translates of the adjoint columns form a frame of the
 N-component sequence space exactly when the determinant of the per-character
-spectral Gram A^(xi)* A^(xi) stays away from zero.  Because the groups here
-are finite, the essential infimum/supremum over the dual group are plain
-minima/maxima over all characters.
+spectral Gram A^(xi)* A^(xi) stays away from zero; a square system is a Riesz
+basis when no A^(xi) is singular.  Because the groups here are finite, the
+essential infimum/supremum over the dual group are plain minima/maxima over
+all characters.  The thresholds and verdicts of the stability policy live here.
 """
 
 from __future__ import annotations
@@ -14,23 +15,36 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceededError
+from .errors import (CapExceededError, DimensionMismatchError, FrameConditionError,
+                     SingularCharacterError)
 from .groups import GroupSpec
 from .systems import SequenceMatrix, TransferMatrix, VectorSequence, from_transfer, transfer
 
 DEFAULT_ORACLE_CAP = 4096
 
-# Relative scale of the default frame tolerance (times beta).
-_DEFAULT_REL_TOL = 1e-10
-
-
-def _riesz_tol(tol: float) -> float:
-    return math.sqrt(tol) if tol > 0 else 0.0
+# Stability policy.  Default frame threshold on delta: DEFAULT_FRAME_RTOL * beta;
+# an explicit tol is an absolute threshold on delta, and sqrt(tol) the one on
+# each |det A^(xi)| of a square system.
+DEFAULT_FRAME_RTOL = 1e-10
+# Pseudo-inverse by the normal equations while delta / beta^N is above this,
+# by the rank-tolerant SVD otherwise.
+NORMAL_EQUATIONS_MIN_RATIO = 1e-8
+# Rank cutoff relative to the largest value: singular values of A^(xi) in the
+# SVD pseudo-inverse, Gram eigenvalues in the dense solves of ``models``.
+RANK_RTOL = 1e-12
+# Largest entrywise deviation of B^(xi) A^(xi) from I that a procedure accepts.
+LEFT_INVERSE_RESIDUAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class FrameDiagnostics:
-    """Spectral summary of a convolution system over all characters."""
+    """Spectral summary of a convolution system over all characters.
+
+    ``delta`` and the frame verdict come from the Gram eigenvalues.  The Riesz
+    verdict and singular characters of a square system come from |det A^(xi)|:
+    at a singular character its LU round-off is about eps * beta^(N/2), while
+    the eigenvalue product, which squares the conditioning, keeps eps * beta^N.
+    """
 
     group: GroupSpec
     rows: int
@@ -38,16 +52,31 @@ class FrameDiagnostics:
     alpha: float            # min over characters of the smallest Gram eigenvalue
     beta: float             # max over characters of the largest Gram eigenvalue
     delta: float            # min over characters of det(spectral Gram)
-    is_frame: bool
-    is_riesz: bool
+    is_frame: bool          # delta > tol
+    is_riesz: bool          # square with no singular character
     tol: float              # effective tolerance used for the verdicts
     eigenvalues: np.ndarray  # (order, cols) ascending per character
-    min_abs_det: float | None  # min |det A^(xi)| over characters (square systems)
+    abs_dets: np.ndarray | None  # (order,) |det A^(xi)|, square systems only
     worst_xi: tuple[int, ...]  # coordinates of the character where delta is attained
 
-    def riesz_tol(self) -> float:
-        """Square-root-scale tolerance used for determinant-based verdicts."""
-        return _riesz_tol(self.tol)
+    def singular_characters(self) -> list[tuple[int, ...]]:
+        """Characters whose |det A^(xi)| is not above sqrt(tol), in index order."""
+        if self.abs_dets is None:
+            raise DimensionMismatchError(
+                f"singular characters need a square system, got {self.rows}x{self.cols}")
+        coords = self.group.coords_array
+        return [tuple(int(c) for c in coords[k])
+                for k in np.nonzero(self.abs_dets <= math.sqrt(self.tol))[0]]
+
+    def require_invertible(self, message: str) -> None:
+        """Raise :class:`SingularCharacterError` formatting ``message`` at the first one.
+
+        The placeholders are ``xi``, its ``abs_det`` and the ``threshold`` sqrt(tol)."""
+        offenders = self.singular_characters()
+        if offenders:
+            abs_det = self.abs_dets[self.group.element(offenders[0]).index]
+            raise SingularCharacterError(message.format(
+                xi=offenders[0], abs_det=abs_det, threshold=math.sqrt(self.tol)), offenders)
 
     def to_json_dict(self) -> dict:
         coords = self.group.coords_array
@@ -65,10 +94,8 @@ class FrameDiagnostics:
         }
 
 
-def _spectral_eigenvalues(t: TransferMatrix) -> np.ndarray:
-    gram = np.matmul(np.conj(t.matrices.transpose(0, 2, 1)), t.matrices)
-    eigs = np.linalg.eigvalsh(gram)
-    return np.maximum(eigs, 0.0)
+def _spectral_gram(t: np.ndarray) -> np.ndarray:
+    return np.matmul(np.conj(t.transpose(0, 2, 1)), t)
 
 
 def diagnostics(a: SequenceMatrix, tol: float | None = None) -> FrameDiagnostics:
@@ -76,24 +103,21 @@ def diagnostics(a: SequenceMatrix, tol: float | None = None) -> FrameDiagnostics
 
     The determinant is formed as the product of eigenvalues of the positive
     semidefinite spectral Gram, which keeps it nonnegative by construction.
-    With ``tol=None`` the verdict threshold defaults to a scale-aware
-    ``1e-10 * beta``.
+    A square system also gets |det A^(xi)| from the LU factors of each
+    transfer matrix.  With ``tol=None`` the verdict threshold defaults to a
+    scale-aware ``DEFAULT_FRAME_RTOL * beta``.
     """
     if tol is not None and tol < 0:
         raise ValueError(f"tolerance must be nonnegative, got {tol}")
-    t = transfer(a)
-    eigs = _spectral_eigenvalues(t)
+    t = transfer(a).matrices
+    eigs = np.maximum(np.linalg.eigvalsh(_spectral_gram(t)), 0.0)
     alpha = float(eigs[:, 0].min())
     beta = float(eigs[:, -1].max())
     dets = eigs.prod(axis=1)
     worst = int(np.argmin(dets))
     delta = float(dets[worst])
-    effective_tol = float(tol) if tol is not None else _DEFAULT_REL_TOL * beta
-    min_abs_det = None
-    is_riesz = False
-    if a.rows == a.cols:
-        min_abs_det = float(np.abs(np.linalg.det(t.matrices)).min())
-        is_riesz = min_abs_det > _riesz_tol(effective_tol)
+    effective_tol = float(tol) if tol is not None else DEFAULT_FRAME_RTOL * beta
+    abs_dets = np.abs(np.linalg.det(t)) if a.rows == a.cols else None
     return FrameDiagnostics(
         group=a.group,
         rows=a.rows,
@@ -102,12 +126,27 @@ def diagnostics(a: SequenceMatrix, tol: float | None = None) -> FrameDiagnostics
         beta=beta,
         delta=delta,
         is_frame=delta > effective_tol,
-        is_riesz=is_riesz,
+        is_riesz=abs_dets is not None and bool(abs_dets.min() > math.sqrt(effective_tol)),
         tol=effective_tol,
         eigenvalues=eigs,
-        min_abs_det=min_abs_det,
+        abs_dets=abs_dets,
         worst_xi=tuple(int(c) for c in a.group.coords_array[worst]),
     )
+
+
+def require_frame(a: SequenceMatrix, tol: float | None = None) -> FrameDiagnostics:
+    """:func:`diagnostics`, raising :class:`FrameConditionError` unless ``is_frame``.
+
+    The error carries ``delta``, the effective ``tol`` and the character ``xi``
+    where ``delta`` is attained.
+    """
+    diag = diagnostics(a, tol)
+    if not diag.is_frame:
+        raise FrameConditionError(
+            f"sampling system is not stable: determinant infimum "
+            f"delta={diag.delta:.6e} not above tolerance {diag.tol:.6e}",
+            delta=diag.delta, tol=diag.tol, xi=diag.worst_xi)
+    return diag
 
 
 def translate_analysis_matrix(a: SequenceMatrix) -> np.ndarray:
@@ -164,8 +203,7 @@ def kernel_witness(a: SequenceMatrix) -> VectorSequence:
     where its determinant is smallest; when delta is zero the resulting
     samples vanish, witnessing that recovery cannot succeed.
     """
-    t = transfer(a)
-    gram = np.matmul(np.conj(t.matrices.transpose(0, 2, 1)), t.matrices)
+    gram = _spectral_gram(transfer(a).matrices)
     eigs = np.linalg.eigvalsh(gram)
     k0 = int(np.argmin(eigs[:, 0]))
     _, vecs = np.linalg.eigh(gram[k0])

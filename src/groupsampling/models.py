@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import (CapExceededError, DimensionMismatchError, FrameConditionError,
                      GroupMismatchError)
+from .frames import RANK_RTOL
 from .groups import (GroupElement, GroupSequence, GroupSpec, ProductSubgroup, convolve,
                      dft, involution)
 from .systems import SequenceMatrix, VectorSequence
@@ -185,28 +186,30 @@ def sample_matrix(model: TranslationModel, probes: list[GroupSequence]) -> Seque
     return SequenceMatrix(habs, values)
 
 
-def _translate_family_matrix(model: TranslationModel) -> np.ndarray:
-    """Columns are the subgroup translates of the generators, generator-major."""
+def _translate_gram(model: TranslationModel, cap: int) -> tuple[np.ndarray, ...]:
+    """Generator translates (columns, generator-major), their Gram and its eigenvalues."""
     emb = model.subgroup.embedding_indices
     habs_order = model.subgroup.abstract_group.order
-    cols = np.empty((model.ambient.order, model.n_generators * habs_order),
-                    dtype=np.complex128)
+    size = habs_order * model.n_generators
+    if size > cap:
+        raise CapExceededError(f"Gram matrix would be {size}x{size}, cap is {cap}")
+    cols = np.empty((model.ambient.order, size), dtype=np.complex128)
     for n, gen in enumerate(model.generators):
         for k in range(habs_order):
             cols[:, n * habs_order + k] = gen.shift(int(emb[k])).values
-    return cols
+    gram = cols.conj().T @ cols
+    return cols, gram, np.linalg.eigvalsh(gram)
+
+
+def _rank_deficient(eigs: np.ndarray) -> bool:
+    """Smallest of ascending Gram eigenvalues not above ``RANK_RTOL`` times the largest."""
+    return bool(eigs[0] <= RANK_RTOL * max(eigs[-1], np.finfo(float).tiny))
 
 
 def riesz_sequence_check(model: TranslationModel,
                          cap: int = DEFAULT_GRAM_CAP) -> tuple[float, float]:
     """Extreme eigenvalues of the Gram matrix of the generator translates."""
-    habs_order = model.subgroup.abstract_group.order
-    size = habs_order * model.n_generators
-    if size > cap:
-        raise CapExceededError(f"Gram matrix would be {size}x{size}, cap is {cap}")
-    cols = _translate_family_matrix(model)
-    gram = cols.conj().T @ cols
-    eigs = np.linalg.eigvalsh(gram)
+    _, _, eigs = _translate_gram(model, cap)
     return (float(eigs[0]), float(eigs[-1]))
 
 
@@ -220,14 +223,8 @@ def coefficients_of(model: TranslationModel, f: GroupSequence,
     """
     if f.group != model.ambient:
         raise GroupMismatchError("input is not on the ambient group")
-    habs_order = model.subgroup.abstract_group.order
-    size = habs_order * model.n_generators
-    if size > cap:
-        raise CapExceededError(f"Gram matrix would be {size}x{size}, cap is {cap}")
-    cols = _translate_family_matrix(model)
-    gram = cols.conj().T @ cols
-    eigs = np.linalg.eigvalsh(gram)
-    if eigs[0] <= 1e-12 * max(eigs[-1], np.finfo(float).tiny):
+    cols, gram, eigs = _translate_gram(model, cap)
+    if _rank_deficient(eigs):
         raise FrameConditionError(
             f"generator translates are not a Riesz sequence "
             f"(Gram eigenvalues span [{eigs[0]:.3e}, {eigs[-1]:.3e}])",
@@ -235,7 +232,7 @@ def coefficients_of(model: TranslationModel, f: GroupSequence,
     rhs = cols.conj().T @ f.values
     coeffs = np.linalg.solve(gram, rhs)
     return VectorSequence(model.subgroup.abstract_group,
-                          coeffs.reshape(model.n_generators, habs_order))
+                          coeffs.reshape(model.n_generators, -1))
 
 
 @dataclass(frozen=True)
@@ -267,7 +264,7 @@ def reproducing_kernel(model: TranslationModel) -> ReproducingKernel:
         psi[:, t] = model.phi.shift(t).values
     frame_op = psi @ psi.conj().T
     eigs, vecs = np.linalg.eigh(frame_op)
-    if eigs[0] <= 1e-12 * max(eigs[-1], np.finfo(float).tiny):
+    if _rank_deficient(eigs):
         raise FrameConditionError(
             f"window frame operator is singular (eigenvalues span "
             f"[{eigs[0]:.3e}, {eigs[-1]:.3e}]); the window translates do not "

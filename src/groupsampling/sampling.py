@@ -19,19 +19,14 @@ import numpy as np
 
 from .duals import (LeftInverse, left_inverse_family, moore_penrose, square_inverse,
                     verify_left_inverse)
-from .errors import (DimensionMismatchError, FrameConditionError, GroupMismatchError,
-                     SingularCharacterError)
-from .frames import FrameDiagnostics, diagnostics
+from .errors import DimensionMismatchError, FrameConditionError, GroupMismatchError
+from .frames import LEFT_INVERSE_RESIDUAL_TOL, FrameDiagnostics, diagnostics, require_frame
 from .groups import (GroupElement, GroupSequence, ProductSubgroup, convolve_fft,
                      coset_representatives, involution)
 from .models import (FunctionOnG, SemidirectModel, TranslationModel,
                      analysis_transform, coefficients_of, rotate_sequence,
                      sample_matrix, synthesize)
-from .systems import SequenceMatrix, TransferMatrix, VectorSequence, apply, transfer
-
-# Procedure-level invariant: the chosen left inverse must satisfy the
-# per-character identity at least this tightly.
-LEFT_INVERSE_RESIDUAL_TOL = 1e-9
+from .systems import SequenceMatrix, TransferMatrix, VectorSequence, apply
 
 SampleSet = VectorSequence
 
@@ -107,12 +102,7 @@ def make_procedure(model: TranslationModel,
         raise DimensionMismatchError(
             f"system has {system.cols} columns but the model has "
             f"{model.n_generators} generators")
-    diag = diagnostics(system, tol)
-    if not diag.is_frame:
-        raise FrameConditionError(
-            f"sampling system is not stable: determinant infimum "
-            f"delta={diag.delta:.6e} not above tolerance {diag.tol:.6e}",
-            delta=diag.delta, tol=diag.tol, xi=diag.worst_xi)
+    diag = require_frame(system, tol)
     dual = _resolve_dual(system, left_inverse, c, tol)
     residual = verify_left_inverse(system, dual)
     if residual >= LEFT_INVERSE_RESIDUAL_TOL:
@@ -187,17 +177,10 @@ def shannon_procedure(model: TranslationModel, tol: float | None = None) -> Samp
             f"pointwise-only sampling needs a single generator, got "
             f"{model.n_generators}")
     system = sample_matrix(model, [model.phi])
-    diag = diagnostics(system, tol)
-    mags = np.abs(transfer(system).matrices[:, 0, 0])
-    threshold = diag.riesz_tol()
-    bad = np.nonzero(mags <= threshold)[0]
-    if bad.size:
-        coords = system.group.coords_array
-        offenders = [tuple(int(c) for c in coords[k]) for k in bad]
-        raise SingularCharacterError(
-            f"pointwise sampling is unstable: the correlation transform vanishes "
-            f"at character {offenders[0]} (|value|={mags[bad[0]]:.3e}); consider "
-            f"adding sample channels over a finite-index subgroup", offenders)
+    diagnostics(system, tol).require_invertible(
+        "pointwise sampling is unstable: the correlation transform vanishes "
+        "at character {xi} (|value|={abs_det:.3e}); consider "
+        "adding sample channels over a finite-index subgroup")
     return make_procedure(model, system=system, left_inverse="square", tol=tol)
 
 
@@ -329,7 +312,7 @@ def interpolation_check(proc: SamplingProcedure) -> float:
     if not proc.diag.is_riesz:
         raise FrameConditionError(
             "interpolation needs a Riesz system (invertible at every character)",
-            delta=proc.diag.delta, tol=proc.diag.tol)
+            delta=proc.diag.delta, tol=proc.diag.tol, xi=proc.diag.worst_xi)
     n = proc.system.rows
     worst = 0.0
     for n_prime in range(n):
