@@ -4,10 +4,13 @@
     python bench/stages.py --out BENCH.json --label parent --src /path/to/other/checkout/src
 
 Times ``convolve`` and ``apply`` (a 3x2 system) on square tori of order 64,
-256, 1024 and 2304; the stability verdicts ``diagnostics`` and
-``moore_penrose`` and ``left_inverse_family`` (6x4 systems) and
-``square_inverse`` (4x4) on the same tori and on order 4096, the size of the
-benchmark's ``stability_scan``; and ``verify --all`` end to end.  Each is
+256, 1024 and 2304; on the same tori the build stages ``sample_matrix`` (2
+generators, 3 probes), ``synthesize`` and ``analysis_transform`` of a
+translation model with a delta window and strides (2, 2); the stability
+verdicts ``diagnostics`` and ``moore_penrose`` and ``left_inverse_family``
+(6x4 systems) and ``square_inverse`` (4x4) on the same tori and on order
+4096, the size of the benchmark's ``stability_scan``; and ``verify --all``
+end to end.  Each is
 repeated ``REPEATS`` times after one untimed call; reports the minimum and the
 median.  A verdict is timed on a new system object each call, so that its
 transfer is computed, not read from the cache.
@@ -69,6 +72,15 @@ def stages() -> dict:
         coeffs = gs.VectorSequence(g, draw((2, g.order)))
         out[f"convolve/{g.order}"] = _timed(lambda: gs.convolve(a, x))
         out[f"apply_3x2/{g.order}"] = _timed(lambda: gs.apply(system, coeffs))
+        sub = gs.ProductSubgroup(g, (2, 2))
+        habs = sub.abstract_group
+        gens = tuple(gs.GroupSequence(g, draw(g.order)) for _ in range(2))
+        probes = [gs.GroupSequence(g, draw(g.order)) for _ in range(3)]
+        model = gs.TranslationModel(g, gs.GroupSequence.delta(g), sub, gens)
+        lattice_coeffs = gs.VectorSequence(habs, draw((2, habs.order)))
+        out[f"sample_matrix/{g.order}"] = _timed(lambda: gs.sample_matrix(model, probes))
+        out[f"synthesize/{g.order}"] = _timed(lambda: gs.synthesize(model, lattice_coeffs))
+        out[f"analysis_transform/{g.order}"] = _timed(lambda: gs.analysis_transform(model, a))
 
     for side in VERDICT_SIDES:
         g = gs.GroupSpec((side, side))

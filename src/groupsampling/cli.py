@@ -20,7 +20,8 @@ import numpy as np
 
 from .config import LeftInverseChoice, ScenarioConfig, parse_config
 from .duals import verify_left_inverse
-from .errors import FrameConditionError, SchemaError, SingularCharacterError
+from .errors import (DimensionMismatchError, FrameConditionError, SchemaError,
+                     SingularCharacterError)
 from .frames import (DEFAULT_ORACLE_CAP, check_determinant_sandwich, diagnostics,
                      kernel_witness, oracle_frame_bounds)
 from .groups import GroupSequence, GroupSpec, convolve, dft, idft, involution
@@ -426,7 +427,7 @@ def main(argv: list[str] | None = None) -> int:
             configs = [load_config(p) for p in paths]
             report, code = cmd_verify(configs, args.seed, args.inject_fault,
                                       args.timings)
-    except SchemaError as exc:
+    except (SchemaError, DimensionMismatchError) as exc:  # e.g. a square dual of a 4x2 system
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     emit_report(report, args.report)

@@ -156,14 +156,10 @@ def translate_analysis_matrix(a: SequenceMatrix) -> np.ndarray:
     applied to a flattened vector produces all inner products against the
     translated family.
     """
-    g = a.group
-    order = g.order
-    mat = np.empty((a.rows * order, a.cols * order), dtype=np.complex128)
-    for h in range(order):
-        row = g.subtraction_rows(h, h + 1)[0]  # indices of h - g'
-        block = a.values[:, :, row]  # (M, N, order)
-        mat[h::order, :] = block.reshape(a.rows, a.cols * order)
-    return mat
+    diff = a.group.differences(slice(None), slice(None))  # (h, g)
+    mat = a.values[np.arange(a.rows)[:, None, None, None], np.arange(a.cols)[:, None],
+                   diff[:, None, :]]  # (M, h, N, g)
+    return mat.reshape(a.rows * a.group.order, a.cols * a.group.order)
 
 
 def oracle_frame_bounds(a: SequenceMatrix, cap: int = DEFAULT_ORACLE_CAP) -> tuple[float, float]:

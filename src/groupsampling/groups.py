@@ -17,9 +17,13 @@ regroupings of the same sums agree bitwise: every exact output point is a
 single correctly rounded sum, bitwise the value ``math.fsum`` gives.  They
 share one vectorised kernel, :func:`exact_sums`, which sums blocks of output
 points at once by error-free extraction (Rump, Ogita and Oishi, "Accurate
-floating-point summation part I", SIAM J. Sci. Comput. 31(1), 2008).
-:func:`convolve_fft` is the fast path; it works on stacks of sequences
-through the batched transform pair ``GroupSpec.fft`` and ``GroupSpec.ifft``.
+floating-point summation part I", SIAM J. Sci. Comput. 31(1), 2008).  The
+convolution kernel sums only the products that can change a correctly
+rounded sum, skipping those with an exact-zero factor, and only the output
+points asked for (``convolve(a, x, at=indices)``, which ``sample_matrix``
+uses to evaluate the lattice points alone).  :func:`convolve_fft` is the
+fast path; it works on stacks of sequences through the batched transform
+pair ``GroupSpec.fft`` and ``GroupSpec.ifft``.
 """
 
 from __future__ import annotations
@@ -34,9 +38,9 @@ import numpy as np
 
 from .errors import GroupMismatchError
 
-# Full subtraction tables are cached only below this order; larger groups
-# compute blocks of rows on the fly.
-_SUB_TABLE_MAX_ORDER = 1024
+# Full difference tables are cached only up to this order; larger groups
+# compute blocks of them on the fly from the per-factor tables.
+_DIFFERENCE_TABLE_MAX_ORDER = 1024
 
 # Below this many terms in all, one math.fsum per row beats the extraction
 # passes of exact_sums, whose numpy calls cost a fixed ~50 us: one 86-term row
@@ -94,30 +98,42 @@ def exact_sums(terms: np.ndarray) -> np.ndarray:
     return _fsum_rows(np.stack(levels, axis=1))
 
 
-def _exact_convolve(a_values: np.ndarray, x_values: np.ndarray,
-                    group: GroupSpec) -> np.ndarray:
+def _exact_convolve(a_values: np.ndarray, x_values: np.ndarray, group: GroupSpec,
+                    points: np.ndarray | None = None) -> np.ndarray:
     """Matrix convolution with one exactly rounded sum per output point.
 
-    out[m, h] = sum over (n, h') of a[m, n, h - h'] * x[n, h'] for an
-    (M, N, order) ``a_values`` and an (N, order) ``x_values``.  Each output
-    point is one correctly rounded sum, so any regrouping of the same index
-    set (for instance the coset regrouping used for finite-index sampling)
-    produces bitwise identical values.  Blocks of output points are summed
-    together by :func:`exact_sums`.
+    out[m, i] = sum over (n, h') of a[m, n, h - h'] * x[n, h'] at h = points[i]
+    (every point by default) for an (M, N, order) ``a_values`` and an
+    (N, order) ``x_values``.  Each output point is one correctly rounded sum,
+    so any regrouping of the same index set (for instance the coset
+    regrouping used for finite-index sampling) produces bitwise identical
+    values.  Columns h' where every component of x is an exact zero are
+    skipped when every entry of a is finite: their products are exact zeros,
+    which no correctly rounded sum sees (``math.fsum`` drops zeros of either
+    sign), while a non-finite a must still meet them, as inf * 0 is NaN.
+    Blocks of output points are summed together by :func:`exact_sums`.
     """
-    m_rows, n_cols, order = a_values.shape
+    m_rows, _, order = a_values.shape
+    n_points = order if points is None else len(points)
+    cols = slice(None)
+    nonzero = x_values.any(axis=0)
+    if not nonzero.all() and np.isfinite(a_values).all():
+        cols = np.flatnonzero(nonzero)
+        x_values = x_values[:, cols]
     a_parts = (np.ascontiguousarray(a_values.real), np.ascontiguousarray(a_values.imag))
     # x * -xi is -(x * xi) bitwise: rounding to nearest is symmetric in sign
     xr, xi, neg_xi = (np.ascontiguousarray(p) for p in
                       (x_values.real, x_values.imag, -x_values.imag))
-    per_point = 2 * m_rows * 2 * n_cols * order
-    block = min(order, max(1, _BLOCK_TERMS // per_point))
+    row_terms = 2 * x_values.size
+    block = max(1, min(n_points, _BLOCK_TERMS // max(1, 2 * m_rows * row_terms)))
     # terms[p, m, (re, im), part, n, h']: each (p, m, re/im) row is one sum,
     # and h' runs fastest, so the products stream over long contiguous rows
-    terms = np.empty((block, m_rows, 2, 2, n_cols, order))
-    out = np.empty((m_rows, order), dtype=np.complex128)
-    for start in range(0, order, block):
-        rows = group.subtraction_rows(start, min(start + block, order))
+    terms = np.empty((block, m_rows, 2, 2, *x_values.shape))
+    out = np.empty((m_rows, n_points), dtype=np.complex128)
+    for start in range(0, n_points, block):
+        stop = min(start + block, n_points)
+        rows = group.differences(slice(start, stop) if points is None
+                                 else points[start:stop], cols)
         p = len(rows)
         ar, ai = (part[:, :, rows].transpose(2, 0, 1, 3) for part in a_parts)
         t = terms[:p]
@@ -125,7 +141,7 @@ def _exact_convolve(a_values: np.ndarray, x_values: np.ndarray,
         np.multiply(ai, neg_xi, out=t[:, :, 0, 1])
         np.multiply(ar, xi, out=t[:, :, 1, 0])
         np.multiply(ai, xr, out=t[:, :, 1, 1])
-        sums = exact_sums(t.reshape(p * m_rows * 2, -1)).reshape(p, m_rows, 2)
+        sums = exact_sums(t.reshape(p * m_rows * 2, row_terms)).reshape(p, m_rows, 2)
         out.real[:, start:start + p] = sums[:, :, 0].T
         out.imag[:, start:start + p] = sums[:, :, 1].T
     return out
@@ -201,22 +217,36 @@ class GroupSpec:
         return perm
 
     @cached_property
-    def _subtraction_table(self) -> np.ndarray | None:
-        if self.order > _SUB_TABLE_MAX_ORDER:
+    def _factor_differences(self) -> tuple[np.ndarray, ...]:
+        """T_j[u, v] = ((u - v) mod s_j) * stride_j: index(h - g) = sum_j T_j[h_j, g_j]."""
+        strides = np.cumprod((1,) + self.moduli[:0:-1])[::-1]
+        return tuple(np.mod(np.subtract.outer(np.arange(s), np.arange(s)), s) * d
+                     for s, d in zip(self.moduli, strides))
+
+    def _sum_factor_differences(self, points, cols) -> np.ndarray:
+        h, g = self.coords_array[points], self.coords_array[cols]
+        out = np.zeros((len(h), len(g)), dtype=np.int64)
+        for table, u, v in zip(self._factor_differences, h.T, g.T):
+            out += table[u[:, None], v]
+        return out
+
+    @cached_property
+    def _difference_table(self) -> np.ndarray | None:
+        if self.order > _DIFFERENCE_TABLE_MAX_ORDER:
             return None
-        diff = self.coords_array[:, None, :] - self.coords_array[None, :, :]
-        table = self.ravel(diff.reshape(-1, self.ndim)).reshape(self.order, self.order)
+        table = self._sum_factor_differences(slice(None), slice(None))
         table.setflags(write=False)
         return table
 
-    def subtraction_rows(self, start: int, stop: int) -> np.ndarray:
-        """(stop - start, order) indices of h - g for h in start..stop-1 and every g."""
-        table = self._subtraction_table
+    def differences(self, points, cols) -> np.ndarray:
+        """Indices of h - g for h in ``points`` and g in ``cols``, one row per point.
+
+        ``points`` and ``cols`` are index arrays or slices of the enumeration.
+        """
+        table = self._difference_table
         if table is not None:
-            return table[start:stop]
-        coords = self.coords_array
-        diff = coords[start:stop, None, :] - coords[None, :, :]
-        return self.ravel(diff.reshape(-1, self.ndim)).reshape(stop - start, self.order)
+            return table[points][:, cols]
+        return self._sum_factor_differences(points, cols)
 
     def translation_perm(self, t: int) -> np.ndarray:
         """Indices of g - t for every g; gathering with it implements T_t."""
@@ -386,11 +416,24 @@ def idft(x: GroupSequence) -> GroupSequence:
     return GroupSequence(x.group, x.group.ifft(x.values))
 
 
-def convolve(a: GroupSequence, x: GroupSequence) -> GroupSequence:
-    """(a * x)(h) = sum_{h'} a(h - h') x(h'), by exactly rounded brute force."""
+def convolve(a: GroupSequence, x: GroupSequence, *,
+             at: np.ndarray | None = None) -> GroupSequence | np.ndarray:
+    """(a * x)(h) = sum_{h'} a(h - h') x(h'), by exactly rounded brute force.
+
+    With ``at``, an array of point indices, returns only the values at those
+    points, as an array; otherwise the whole convolution as a sequence.
+    """
     _same_group(a.group, x.group, "cannot convolve sequences on different groups")
-    out = _exact_convolve(a.values[None, None, :], x.values[None, :], a.group)
-    return GroupSequence(a.group, out[0])
+    av, xv = a.values, x.values
+    # a(h - h') x(h') and x(h - h') a(h') are the same doubles and the sum is
+    # order-independent, so the kernel may skip the zeros of either operand:
+    # the sparser one goes second.  Only finite operands swap, so that a NaN
+    # keeps the sign it gets from the operand order.
+    if (np.count_nonzero(av) < np.count_nonzero(xv)
+            and np.isfinite(av).all() and np.isfinite(xv).all()):
+        av, xv = xv, av
+    out = _exact_convolve(av[None, None, :], xv[None, :], a.group, at)[0]
+    return out if at is not None else GroupSequence(a.group, out)
 
 
 def convolve_fft(a, x):

@@ -182,7 +182,7 @@ def sample_matrix(model: TranslationModel, probes: list[GroupSequence]) -> Seque
     for m, probe in enumerate(probes):
         flipped = involution(probe)
         for n, gen in enumerate(model.generators):
-            values[m, n] = convolve(gen, flipped).values[emb]
+            values[m, n] = convolve(gen, flipped, at=emb)
     return SequenceMatrix(habs, values)
 
 
