@@ -6,11 +6,14 @@
 Times ``convolve`` and ``apply`` (a 3x2 system) on square tori of order 64,
 256, 1024 and 2304; on the same tori the build stages ``sample_matrix`` (2
 generators, 3 probes), ``synthesize`` and ``analysis_transform`` of a
-translation model with a delta window and strides (2, 2); the stability
+translation model with a delta window and strides (2, 2), and
+``reproducing_kernel`` of a random window up to order 1024; the stability
 verdicts ``diagnostics`` and ``moore_penrose`` and ``left_inverse_family``
 (6x4 systems) and ``square_inverse`` (4x4) on the same tori and on order
-4096, the size of the benchmark's ``stability_scan``; and ``verify --all``
-end to end.  Each is
+4096, the size of the benchmark's ``stability_scan``; ``coefficients_of`` and
+``semidirect_sample_and_reconstruct`` on the C4 reduction of Z24 x Z24 and
+Z48 x Z48 with strides (3, 3), as in the benchmark's ``semidirect_c4``; and
+``verify --all`` end to end.  Each is
 repeated ``REPEATS`` times after one untimed call; reports the minimum and the
 median.  A verdict is timed on a new system object each call, so that its
 transfer is computed, not read from the cache.
@@ -41,6 +44,7 @@ from time import perf_counter
 REPEATS = 5
 SIDES = (8, 16, 32, 48)  # square tori: |G| = 64, 256, 1024, 2304
 VERDICT_SIDES = SIDES + (64,)  # and |G| = 4096
+C4_SIDES = (24, 48)  # |G| = 576 and 2304, |H| = 64 and 256
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -81,6 +85,24 @@ def stages() -> dict:
         out[f"sample_matrix/{g.order}"] = _timed(lambda: gs.sample_matrix(model, probes))
         out[f"synthesize/{g.order}"] = _timed(lambda: gs.synthesize(model, lattice_coeffs))
         out[f"analysis_transform/{g.order}"] = _timed(lambda: gs.analysis_transform(model, a))
+        if g.order <= 1024:  # a new model each call, so no cached spectrum is reused
+            out[f"reproducing_kernel/{g.order}"] = _timed(
+                lambda: gs.reproducing_kernel(gs.TranslationModel(g, a, sub, gens)))
+
+    for side in C4_SIDES:
+        torus = gs.GroupSpec((side, side))
+        sd = gs.SemidirectModel(torus, "C4", gs.ProductSubgroup(torus, (3, 3)),
+                                gs.GroupSequence(torus, draw(torus.order)),
+                                gs.GroupSequence(torus, draw(torus.order)))
+        reduced = gs.semidirect_reduce(sd).model
+        proc = gs.make_procedure(reduced, probes=[gs.GroupSequence(torus, draw(torus.order))
+                                                  for _ in range(5)])
+        proc.sampling_functions  # built once, outside the timing
+        habs = reduced.subgroup.abstract_group
+        f = gs.synthesize(reduced, gs.VectorSequence(habs, draw((4, habs.order))))
+        out[f"coefficients_of_c4/{torus.order}"] = _timed(lambda: gs.coefficients_of(reduced, f))
+        out[f"semidirect_reconstruct_c4/{torus.order}"] = _timed(
+            lambda: gs.semidirect_sample_and_reconstruct(sd, proc, f))
 
     for side in VERDICT_SIDES:
         g = gs.GroupSpec((side, side))
@@ -121,7 +143,7 @@ def main(argv=None) -> int:
     record.setdefault("timings", {})[args.label] = timings
     args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     for name, t in timings.items():
-        print(f"{args.label:>8} {name:<29} min {t['min_s']:.4f} s  median {t['median_s']:.4f} s")
+        print(f"{args.label:>8} {name:<31} min {t['min_s']:.4f} s  median {t['median_s']:.4f} s")
     return 0
 
 

@@ -30,7 +30,7 @@ DEFAULT_FRAME_RTOL = 1e-10
 # by the rank-tolerant SVD otherwise.
 NORMAL_EQUATIONS_MIN_RATIO = 1e-8
 # Rank cutoff relative to the largest value: singular values of A^(xi) in the
-# SVD pseudo-inverse, Gram eigenvalues in the dense solves of ``models``.
+# SVD pseudo-inverse; in ``models``, fiber Gram eigenvalues and |phi^(xi)|^2.
 RANK_RTOL = 1e-12
 # Largest entrywise deviation of B^(xi) A^(xi) from I that a procedure accepts.
 LEFT_INVERSE_RESIDUAL_TOL = 1e-9

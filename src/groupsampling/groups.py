@@ -362,7 +362,7 @@ class GroupSequence:
 
     def shift(self, t: GroupElement | int) -> GroupSequence:
         """Translate: (T_t x)(g) = x(g - t)."""
-        idx = t if isinstance(t, int) else t.index
+        idx = int(t) if isinstance(t, (int, np.integer)) else t.index
         return GroupSequence(self.group, self.values[self.group.translation_perm(idx)])
 
     def norm_sq(self) -> float:
@@ -490,10 +490,25 @@ class ProductSubgroup:
     @cached_property
     def embedding_indices(self) -> np.ndarray:
         """Parent index of the embedding of each abstract element, in order."""
-        coords = self.abstract_group.coords_array * np.asarray(self.strides)
-        idx = self.parent.ravel(coords)
+        return self.coset_indices[0]
+
+    @cached_property
+    def coset_indices(self) -> np.ndarray:
+        """(index, order) parent indices of rep_l + embed(k), rows as in coset_representatives."""
+        reps = GroupSpec(self.strides).coords_array
+        coords = reps[:, None] + self.abstract_group.coords_array * np.asarray(self.strides)
+        idx = self.parent.ravel(coords.reshape(-1, self.parent.ndim)).reshape(self.index, -1)
         idx.setflags(write=False)
         return idx
+
+    @cached_property
+    def alias_indices(self) -> np.ndarray:
+        """(order, index) parent characters restricting to each abstract character.
+
+        Character xi restricts to xi_j mod (s_j / d_j), so row k lists the aliases
+        k_j + a_j s_j / d_j: a coset of the annihilator, whose strides are s_j / d_j.
+        """
+        return ProductSubgroup(self.parent, self.abstract_group.moduli).coset_indices
 
     def refine(self, inner_strides: Sequence[int]) -> ProductSubgroup:
         """Subgroup of the parent whose abstract form is cut by further strides."""
@@ -503,6 +518,4 @@ class ProductSubgroup:
 
 def coset_representatives(sub: ProductSubgroup) -> list[GroupElement]:
     """One representative per coset, mixed-radix over residues 0..d_j-1."""
-    residue_shape = GroupSpec(sub.strides)
-    return [GroupElement(sub.parent, tuple(int(c) for c in row))
-            for row in residue_shape.coords_array]
+    return [sub.parent.element_at(i) for i in sub.coset_indices[:, 0]]

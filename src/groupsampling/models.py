@@ -4,7 +4,8 @@ Two scenarios are provided:
 
 * translation on the sequence space of a finite abelian group, where the
   representation is U(t) x = x(. - t) and the sampled subspace is spanned by
-  subgroup translates of a generator set;
+  subgroup translates of a generator set, whose Gram splits into one N x N
+  fiber Gram per character of the subgroup;
 * the quasi-regular representation of a finite rotation group acting on a
   square torus, U(s, gamma) f(t) = f(gamma^T (t - s)), which reduces to the
   translation scenario with one rotated generator per rotation.
@@ -21,12 +22,10 @@ import numpy as np
 
 from .errors import (CapExceededError, DimensionMismatchError, FrameConditionError,
                      GroupMismatchError)
-from .frames import RANK_RTOL
+from .frames import DEFAULT_ORACLE_CAP, RANK_RTOL, _spectral_gram
 from .groups import (GroupElement, GroupSequence, GroupSpec, ProductSubgroup, convolve,
-                     dft, involution)
+                     involution)
 from .systems import SequenceMatrix, VectorSequence
-
-DEFAULT_GRAM_CAP = 4096
 
 _ROTATION_SETS = {
     "C1": ((1, 0, 0, 1),),
@@ -120,15 +119,24 @@ class TranslationModel:
     def n_generators(self) -> int:
         return len(self.generators)
 
+    def generator_translates(self, points: np.ndarray) -> np.ndarray:
+        """(N, len(points), order) values of each generator translated by each ambient point."""
+        diff = self.ambient.differences(slice(None), points)  # index of g - p
+        return np.stack([gen.values for gen in self.generators])[:, diff.T]
+
     @cached_property
+    def window_spectrum(self) -> np.ndarray:
+        """|phi^(xi)|^2 per character: the eigenvalues of the window frame operator."""
+        return np.abs(self.ambient.fft(self.phi.values)) ** 2
+
+    @property
     def window_bounds(self) -> tuple[float, float]:
         """Frame bounds of the window translates over the whole group.
 
         These are the extreme values of |phi^|^2 over all characters; the
         family spans the full space exactly when the lower bound is positive.
         """
-        mags = np.abs(dft(self.phi).values) ** 2
-        return (float(mags.min()), float(mags.max()))
+        return (float(self.window_spectrum.min()), float(self.window_spectrum.max()))
 
     @property
     def window_spans_everything(self) -> bool:
@@ -186,53 +194,60 @@ def sample_matrix(model: TranslationModel, probes: list[GroupSequence]) -> Seque
     return SequenceMatrix(habs, values)
 
 
-def _translate_gram(model: TranslationModel, cap: int) -> tuple[np.ndarray, ...]:
-    """Generator translates (columns, generator-major), their Gram and its eigenvalues."""
-    emb = model.subgroup.embedding_indices
-    habs_order = model.subgroup.abstract_group.order
-    size = habs_order * model.n_generators
-    if size > cap:
-        raise CapExceededError(f"Gram matrix would be {size}x{size}, cap is {cap}")
-    cols = np.empty((model.ambient.order, size), dtype=np.complex128)
-    for n, gen in enumerate(model.generators):
-        for k in range(habs_order):
-            cols[:, n * habs_order + k] = gen.shift(int(emb[k])).values
-    gram = cols.conj().T @ cols
-    return cols, gram, np.linalg.eigvalsh(gram)
-
-
-def _rank_deficient(eigs: np.ndarray) -> bool:
-    """Smallest of ascending Gram eigenvalues not above ``RANK_RTOL`` times the largest."""
-    return bool(eigs[0] <= RANK_RTOL * max(eigs[-1], np.finfo(float).tiny))
+def _rank_deficient(lo: float, hi: float) -> bool:
+    """Smallest eigenvalue ``lo`` not above ``RANK_RTOL`` times the largest ``hi``."""
+    return bool(lo <= RANK_RTOL * max(hi, np.finfo(float).tiny))
 
 
 def riesz_sequence_check(model: TranslationModel,
-                         cap: int = DEFAULT_GRAM_CAP) -> tuple[float, float]:
-    """Extreme eigenvalues of the Gram matrix of the generator translates."""
-    _, _, eigs = _translate_gram(model, cap)
+                         cap: int = DEFAULT_ORACLE_CAP) -> tuple[float, float]:
+    """Extreme eigenvalues of the dense Gram matrix of the generator translates.
+
+    Brute-force oracle for the fiber Grams of :func:`coefficients_of`; refuses
+    Gram matrices with more than ``cap`` columns.
+    """
+    size = model.subgroup.abstract_group.order * model.n_generators
+    if size > cap:
+        raise CapExceededError(f"Gram matrix would be {size}x{size}, cap is {cap}")
+    cols = model.generator_translates(model.subgroup.embedding_indices).reshape(size, -1).T
+    eigs = np.linalg.eigvalsh(cols.conj().T @ cols)
     return (float(eigs[0]), float(eigs[-1]))
 
 
-def coefficients_of(model: TranslationModel, f: GroupSequence,
-                    cap: int = DEFAULT_GRAM_CAP) -> VectorSequence:
+def _fiber_gram(model: TranslationModel) -> tuple[np.ndarray, ...]:
+    """Alias matrices T, fiber Grams T* T / index and their ascending eigenvalues.
+
+    The Gram of the generator translates is a convolution on the sampling group
+    H, so the transform over H splits it into one N x N fiber Gram per character
+    k of H (Bownik, J. Funct. Anal. 177, 2000); row a of T[k] holds the
+    generators' transforms at the a-th alias of k.
+    """
+    spectra = model.ambient.fft(np.stack([gen.values for gen in model.generators]))
+    t = spectra[:, model.subgroup.alias_indices].transpose(1, 2, 0)  # (k, alias, n)
+    gram = _spectral_gram(t) / model.subgroup.index
+    return t, gram, np.linalg.eigvalsh(gram)
+
+
+def coefficients_of(model: TranslationModel, f: GroupSequence) -> VectorSequence:
     """Expansion coefficients of a member of the generated subspace.
 
-    Solves the Gram system of the generator translates; requires the family
-    to be a Riesz sequence.  For f outside the subspace this returns the
-    coefficients of the orthogonal projection.
+    Solves the Gram system of the generator translates one fiber at a time; needs
+    a Riesz sequence, whose bounds are the extreme fiber eigenvalues.  For f
+    outside the subspace this returns the coefficients of its orthogonal projection.
     """
     if f.group != model.ambient:
         raise GroupMismatchError("input is not on the ambient group")
-    cols, gram, eigs = _translate_gram(model, cap)
-    if _rank_deficient(eigs):
+    t, gram, eigs = _fiber_gram(model)
+    lo, hi = float(eigs[:, 0].min()), float(eigs[:, -1].max())
+    habs = model.subgroup.abstract_group
+    if _rank_deficient(lo, hi):
         raise FrameConditionError(
             f"generator translates are not a Riesz sequence "
-            f"(Gram eigenvalues span [{eigs[0]:.3e}, {eigs[-1]:.3e}])",
-            delta=float(eigs[0]))
-    rhs = cols.conj().T @ f.values
-    coeffs = np.linalg.solve(gram, rhs)
-    return VectorSequence(model.subgroup.abstract_group,
-                          coeffs.reshape(model.n_generators, -1))
+            f"(Gram eigenvalues span [{lo:.3e}, {hi:.3e}])",
+            delta=lo, xi=habs.element_at(np.argmin(eigs[:, 0])).coords)
+    fhat = model.ambient.fft(f.values)[model.subgroup.alias_indices, None]  # (k, alias, 1)
+    rhs = np.matmul(np.conj(t.transpose(0, 2, 1)), fhat) / model.subgroup.index
+    return VectorSequence(habs, habs.ifft(np.linalg.solve(gram, rhs)[:, :, 0].T))
 
 
 @dataclass(frozen=True)
@@ -253,26 +268,21 @@ class ReproducingKernel:
 
 
 def reproducing_kernel(model: TranslationModel) -> ReproducingKernel:
-    """Kernel k(u, v) = <window(v), S^{-1} window(u)> via the dense frame operator.
+    """Kernel k(u, v) = <window(v), S^{-1} window(u)> of the window frame operator S.
 
-    Requires the window translates to span the whole space (positive lower
-    window bound); otherwise the frame operator is singular.
+    S is a convolution with eigenvalues |phi^(xi)|^2, which must stay away from
+    zero.  Then the translates, one per group element, span the whole space, so
+    the kernel projects onto all of it: with psi the invertible matrix of
+    translates, psi* (psi psi*)^{-1} psi = I, returned without forming S.
     """
-    order = model.ambient.order
-    psi = np.empty((order, order), dtype=np.complex128)
-    for t in range(order):
-        psi[:, t] = model.phi.shift(t).values
-    frame_op = psi @ psi.conj().T
-    eigs, vecs = np.linalg.eigh(frame_op)
-    if _rank_deficient(eigs):
+    lo, hi = model.window_bounds
+    if _rank_deficient(lo, hi):
         raise FrameConditionError(
             f"window frame operator is singular (eigenvalues span "
-            f"[{eigs[0]:.3e}, {eigs[-1]:.3e}]); the window translates do not "
-            f"span the whole space", delta=float(eigs[0]))
-    inv = (vecs / eigs) @ vecs.conj().T
-    inv = 0.5 * (inv + inv.conj().T)
-    kernel = psi.conj().T @ inv @ psi
-    return ReproducingKernel(model.ambient, kernel.T.copy())
+            f"[{lo:.3e}, {hi:.3e}]); the window translates do not "
+            f"span the whole space", delta=lo,
+            xi=model.ambient.element_at(np.argmin(model.window_spectrum)).coords)
+    return ReproducingKernel(model.ambient, np.eye(model.ambient.order, dtype=np.complex128))
 
 
 @dataclass(eq=False)

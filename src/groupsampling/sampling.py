@@ -202,25 +202,13 @@ class FiniteIndexReduction:
     def cosets(self) -> int:
         return self.inner.index
 
-    @cached_property
-    def _regroup_indices(self) -> np.ndarray:
-        """(cosets, inner order) indices into the abstract sampling group."""
-        habs = self.base.subgroup.abstract_group
-        rows = []
-        for rep in self.coset_reps:
-            coords = self.inner.abstract_group.coords_array * np.asarray(self.inner.strides)
-            rows.append(habs.ravel(coords + np.asarray(rep.coords)))
-        return np.stack(rows)
-
     def regroup_coefficients(self, x: VectorSequence) -> VectorSequence:
         """x_{nl}(r) = x_n(rep_l + embed(r)); a pure re-indexing."""
         habs = self.base.subgroup.abstract_group
         if x.group != habs or x.n_components != self.base.n_generators:
             raise DimensionMismatchError("coefficients do not match the base model")
-        idx = self._regroup_indices
-        rows = [x.values[n][idx[l]]
-                for n in range(self.base.n_generators) for l in range(self.cosets)]
-        return VectorSequence(self.inner.abstract_group, np.stack(rows))
+        rabs = self.inner.abstract_group
+        return VectorSequence(rabs, x.values[:, self.inner.coset_indices].reshape(-1, rabs.order))
 
     def ungroup_coefficients(self, x: VectorSequence) -> VectorSequence:
         """Inverse re-indexing back to the base sampling group."""
@@ -228,50 +216,38 @@ class FiniteIndexReduction:
         n_base = self.base.n_generators
         if x.group != self.inner.abstract_group or x.n_components != n_base * self.cosets:
             raise DimensionMismatchError("coefficients do not match the regrouped model")
-        idx = self._regroup_indices
-        out = np.empty((n_base, habs.order), dtype=np.complex128)
-        for n in range(n_base):
-            for l in range(self.cosets):
-                out[n][idx[l]] = x.values[n * self.cosets + l]
-        return VectorSequence(habs, out)
+        back = np.argsort(self.inner.coset_indices, axis=None)  # point -> (coset, r)
+        return VectorSequence(habs, x.values.reshape(n_base, -1)[:, back])
 
     def regroup_system(self, a: SequenceMatrix) -> SequenceMatrix:
         """Columns split per coset: entry (m, nl)(v) = a_{m,n}(embed(v) - rep_l)."""
         habs = self.base.subgroup.abstract_group
         if a.group != habs or a.cols != self.base.n_generators:
             raise DimensionMismatchError("system does not match the base model")
-        rabs = self.inner.abstract_group
-        emb_coords = rabs.coords_array * np.asarray(self.inner.strides)
-        values = np.empty((a.rows, a.cols * self.cosets, rabs.order), dtype=np.complex128)
-        for l, rep in enumerate(self.coset_reps):
-            idx = habs.ravel(emb_coords - np.asarray(rep.coords))
-            for n in range(a.cols):
-                values[:, n * self.cosets + l, :] = a.values[:, n, idx]
-        return SequenceMatrix(rabs, values)
+        cosets = self.inner.coset_indices
+        idx = habs.differences(cosets[0], cosets[:, 0]).T  # (l, v): embed(v) - rep_l
+        return SequenceMatrix(self.inner.abstract_group,
+                              a.values[:, :, idx].reshape(a.rows, a.cols * self.cosets, -1))
 
     def downsample(self, samples: VectorSequence) -> VectorSequence:
         """Restrict sample sequences over the base group to the inner subgroup."""
         if samples.group != self.base.subgroup.abstract_group:
             raise GroupMismatchError("samples are not on the base sampling group")
-        idx = self._regroup_indices[0]  # representative 0 is the identity coset
-        return VectorSequence(self.inner.abstract_group, samples.values[:, idx])
+        return VectorSequence(self.inner.abstract_group,
+                              samples.values[:, self.inner.embedding_indices])
 
 
 def finite_index_model(model: TranslationModel, inner_strides) -> FiniteIndexReduction:
     """Split the model's generators over the cosets of a finite-index subgroup."""
-    habs = model.subgroup.abstract_group
-    inner = ProductSubgroup(habs, tuple(int(e) for e in inner_strides))
+    inner = ProductSubgroup(model.subgroup.abstract_group, tuple(int(e) for e in inner_strides))
     reps = tuple(coset_representatives(inner))
-    composed = model.subgroup.refine(inner.strides)
-    generators = []
-    for gen in model.generators:
-        for rep in reps:
-            generators.append(gen.shift(model.subgroup.embed(rep)))
+    shifts = model.subgroup.embedding_indices[inner.coset_indices[:, 0]]  # embed(rep_l)
+    translates = model.generator_translates(shifts).reshape(-1, model.ambient.order)
     regrouped = TranslationModel(
         ambient=model.ambient,
         phi=model.phi,
-        subgroup=composed,
-        generators=tuple(generators),
+        subgroup=model.subgroup.refine(inner.strides),
+        generators=tuple(GroupSequence(model.ambient, v) for v in translates),
     )
     return FiniteIndexReduction(base=model, inner=inner, model=regrouped, coset_reps=reps)
 

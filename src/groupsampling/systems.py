@@ -65,7 +65,7 @@ class VectorSequence:
         return GroupSequence(self.group, self.values[n])
 
     def shift(self, t: GroupElement | int) -> VectorSequence:
-        idx = t if isinstance(t, int) else t.index
+        idx = int(t) if isinstance(t, (int, np.integer)) else t.index
         return VectorSequence(self.group, self.values[:, self.group.translation_perm(idx)])
 
     def norm_sq(self) -> float:
@@ -137,7 +137,7 @@ class TransferMatrix:
         return self.matrices.shape[2]
 
     def at(self, xi: GroupElement | int) -> np.ndarray:
-        idx = xi if isinstance(xi, int) else xi.index
+        idx = int(xi) if isinstance(xi, (int, np.integer)) else xi.index
         return self.matrices[idx]
 
     def conj_transpose(self) -> TransferMatrix:
