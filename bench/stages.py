@@ -12,11 +12,13 @@ verdicts ``diagnostics`` and ``moore_penrose`` and ``left_inverse_family``
 (6x4 systems) and ``square_inverse`` (4x4) on the same tori and on order
 4096, the size of the benchmark's ``stability_scan``; ``coefficients_of`` and
 ``semidirect_sample_and_reconstruct`` on the C4 reduction of Z24 x Z24 and
-Z48 x Z48 with strides (3, 3), as in the benchmark's ``semidirect_c4``; and
-``verify --all`` end to end.  Each is
-repeated ``REPEATS`` times after one untimed call; reports the minimum and the
-median.  A verdict is timed on a new system object each call, so that its
-transfer is computed, not read from the cache.
+Z48 x Z48 with strides (3, 3), as in the benchmark's ``semidirect_c4``;
+``make_procedure`` with each kind of left inverse (6x4 Moore-Penrose and
+family, 4x4 square) on orders 1024 and 4096; and ``verify --all`` end to
+end.  Each is repeated ``REPEATS`` times after one untimed call; reports the
+minimum and the median.  A verdict or procedure is timed on a new system
+object each call, so that its transfer and spectrum are computed, not read
+from the cache.
 The package is imported from ``--src`` (default: this checkout's ``src/``),
 so two trees are compared by running the script once for each.  Each run
 replaces its label's entry in the ``--out`` file, keeps the other labels and
@@ -44,6 +46,7 @@ from time import perf_counter
 REPEATS = 5
 SIDES = (8, 16, 32, 48)  # square tori: |G| = 64, 256, 1024, 2304
 VERDICT_SIDES = SIDES + (64,)  # and |G| = 4096
+PROCEDURE_SIDES = (32, 64)  # |H| = 1024, and 4096 as in stability_scan
 C4_SIDES = (24, 48)  # |G| = 576 and 2304, |H| = 64 and 256
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -116,6 +119,24 @@ def stages() -> dict:
             "square_inverse_4x4": lambda: gs.square_inverse(gs.SequenceMatrix(g, square)),
         }
         for name, call in verdicts.items():
+            out[f"{name}/{g.order}"] = _timed(call)
+
+    for side in PROCEDURE_SIDES:
+        g = gs.GroupSpec((side, side))
+        model = gs.TranslationModel(  # sampled at every point: systems live on g itself
+            g, gs.GroupSequence.delta(g), gs.ProductSubgroup(g, (1, 1)),
+            tuple(gs.GroupSequence.delta(g, g.element_at(k)) for k in range(4)))
+        tall, square = draw((6, 4, g.order)), draw((4, 4, g.order))
+        c = gs.TransferMatrix(g, draw((g.order, 4, 6)))
+        procedures = {
+            "make_procedure_mp_6x4": lambda: gs.make_procedure(
+                model, system=gs.SequenceMatrix(g, tall)),
+            "make_procedure_family_6x4": lambda: gs.make_procedure(
+                model, system=gs.SequenceMatrix(g, tall), left_inverse="family", c=c),
+            "make_procedure_square_4x4": lambda: gs.make_procedure(
+                model, system=gs.SequenceMatrix(g, square), left_inverse="square"),
+        }
+        for name, call in procedures.items():
             out[f"{name}/{g.order}"] = _timed(call)
 
     def verify_all():

@@ -17,22 +17,27 @@ from .systems import SequenceMatrix, TransferMatrix, from_transfer, transfer
 
 
 class LeftInverse:
-    """A left inverse held in both domains: per-character matrices and sequences."""
+    """A left inverse held in both domains: per-character matrices and sequences.
 
-    __slots__ = ("transfer", "coefficients", "kind")
+    Stability verdicts read only the transfer; the sequences are its inverse
+    transform, computed on first access and kept.
+    """
 
-    def __init__(self, spectral: TransferMatrix, coefficients: SequenceMatrix,
-                 kind: str) -> None:
+    __slots__ = ("transfer", "kind", "_coefficients")
+
+    def __init__(self, spectral: TransferMatrix, kind: str) -> None:
         object.__setattr__(self, "transfer", spectral)
-        object.__setattr__(self, "coefficients", coefficients)
         object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "_coefficients", None)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("LeftInverse is immutable")
 
-    @classmethod
-    def from_transfer(cls, spectral: TransferMatrix, kind: str) -> LeftInverse:
-        return cls(spectral, from_transfer(spectral), kind)
+    @property
+    def coefficients(self) -> SequenceMatrix:
+        if self._coefficients is None:
+            object.__setattr__(self, "_coefficients", from_transfer(self.transfer))
+        return self._coefficients
 
     def to_json_dict(self) -> dict:
         data = self.coefficients.to_json_dict()
@@ -60,7 +65,7 @@ def moore_penrose(a: SequenceMatrix, tol: float | None = None) -> LeftInverse:
     """
     diag = require_frame(a, tol)
     mats = _pseudo_inverse_matrices(a, diag)
-    return LeftInverse.from_transfer(TransferMatrix(a.group, mats), "moore_penrose")
+    return LeftInverse(TransferMatrix(a.group, mats), "moore_penrose")
 
 
 def left_inverse_family(a: SequenceMatrix, c: TransferMatrix,
@@ -76,7 +81,7 @@ def left_inverse_family(a: SequenceMatrix, c: TransferMatrix,
     dag = _pseudo_inverse_matrices(a, diag)
     eye = np.eye(a.rows)
     mats = dag + np.matmul(c.matrices, eye - np.matmul(t, dag))
-    return LeftInverse.from_transfer(TransferMatrix(a.group, mats), "family")
+    return LeftInverse(TransferMatrix(a.group, mats), "family")
 
 
 def verify_left_inverse(a: SequenceMatrix, b: LeftInverse | SequenceMatrix) -> float:
@@ -101,4 +106,4 @@ def square_inverse(a: SequenceMatrix, tol: float | None = None) -> LeftInverse:
         "transfer matrix is singular at character {xi} "
         "(|det|={abs_det:.3e}, threshold {threshold:.3e})")
     mats = np.linalg.inv(transfer(a).matrices)
-    return LeftInverse.from_transfer(TransferMatrix(a.group, mats), "square")
+    return LeftInverse(TransferMatrix(a.group, mats), "square")

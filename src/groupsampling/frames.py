@@ -56,7 +56,7 @@ class FrameDiagnostics:
     is_riesz: bool          # square with no singular character
     tol: float              # effective tolerance used for the verdicts
     eigenvalues: np.ndarray  # (order, cols) ascending per character
-    abs_dets: np.ndarray | None  # (order,) |det A^(xi)|, square systems only
+    abs_dets: np.ndarray | None  # (order,) |det A^(xi)|, square systems only; read-only
     worst_xi: tuple[int, ...]  # coordinates of the character where delta is attained
 
     def singular_characters(self) -> list[tuple[int, ...]]:
@@ -98,26 +98,45 @@ def _spectral_gram(t: np.ndarray) -> np.ndarray:
     return np.matmul(np.conj(t.transpose(0, 2, 1)), t)
 
 
+def _spectrum(t: TransferMatrix) -> tuple[np.ndarray, np.ndarray | None]:
+    """Raw ascending spectral Gram eigenvalues and, if square, |det A^(xi)|.
+
+    Computed on first use and kept read-only on the transfer matrix, which is
+    immutable and cached on its system, so every verdict on one system shares
+    one eigen-solve and one determinant pass.
+    """
+    if t._spectrum is None:
+        eigs = np.linalg.eigvalsh(_spectral_gram(t.matrices))
+        abs_dets = np.abs(np.linalg.det(t.matrices)) if t.rows == t.cols else None
+        for arr in (eigs, abs_dets):
+            if arr is not None:
+                arr.setflags(write=False)
+        object.__setattr__(t, "_spectrum", (eigs, abs_dets))
+    return t._spectrum
+
+
 def diagnostics(a: SequenceMatrix, tol: float | None = None) -> FrameDiagnostics:
     """Frame/Riesz verdicts from per-character Hermitian eigenvalues.
 
     The determinant is formed as the product of eigenvalues of the positive
     semidefinite spectral Gram, which keeps it nonnegative by construction.
     A square system also gets |det A^(xi)| from the LU factors of each
-    transfer matrix.  With ``tol=None`` the verdict threshold defaults to a
-    scale-aware ``DEFAULT_FRAME_RTOL * beta``.
+    transfer matrix.  Both come from the spectrum cached on the system's
+    transfer (:func:`_spectrum`): ``eigenvalues`` is a fresh clamped copy on
+    every call, while ``abs_dets`` is the shared read-only array.  With
+    ``tol=None`` the verdict threshold defaults to a scale-aware
+    ``DEFAULT_FRAME_RTOL * beta``.
     """
     if tol is not None and tol < 0:
         raise ValueError(f"tolerance must be nonnegative, got {tol}")
-    t = transfer(a).matrices
-    eigs = np.maximum(np.linalg.eigvalsh(_spectral_gram(t)), 0.0)
+    raw, abs_dets = _spectrum(transfer(a))
+    eigs = np.maximum(raw, 0.0)
     alpha = float(eigs[:, 0].min())
     beta = float(eigs[:, -1].max())
     dets = eigs.prod(axis=1)
     worst = int(np.argmin(dets))
     delta = float(dets[worst])
     effective_tol = float(tol) if tol is not None else DEFAULT_FRAME_RTOL * beta
-    abs_dets = np.abs(np.linalg.det(t)) if a.rows == a.cols else None
     return FrameDiagnostics(
         group=a.group,
         rows=a.rows,
@@ -199,10 +218,9 @@ def kernel_witness(a: SequenceMatrix) -> VectorSequence:
     where its determinant is smallest; when delta is zero the resulting
     samples vanish, witnessing that recovery cannot succeed.
     """
-    gram = _spectral_gram(transfer(a).matrices)
-    eigs = np.linalg.eigvalsh(gram)
-    k0 = int(np.argmin(eigs[:, 0]))
-    _, vecs = np.linalg.eigh(gram[k0])
+    t = transfer(a)
+    k0 = int(np.argmin(_spectrum(t)[0][:, 0]))
+    _, vecs = np.linalg.eigh(_spectral_gram(t.matrices)[k0])
     null_vec = vecs[:, 0]
     xhat = np.zeros((a.group.order, a.cols), dtype=np.complex128)
     xhat[k0] = null_vec

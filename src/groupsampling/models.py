@@ -252,16 +252,24 @@ def coefficients_of(model: TranslationModel, f: GroupSequence) -> VectorSequence
 
 @dataclass(frozen=True)
 class ReproducingKernel:
-    """Kernel table k(u, v) of the window-correlation function space."""
+    """Kernel k(u, v) of the window-correlation function space.
+
+    :func:`reproducing_kernel` only returns it when the window translates span
+    the whole space, so the kernel is the identity and no table is stored.
+    """
 
     group: GroupSpec
-    matrix: np.ndarray  # (order, order), k[u, v]
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The (order, order) table k[u, v], built on each access."""
+        return np.eye(self.group.order, dtype=np.complex128)
 
     def reproduce(self, f: FunctionOnG) -> FunctionOnG:
-        """Evaluate u -> sum_v f(v) k(u, v)."""
+        """Evaluate u -> sum_v f(v) k(u, v): a copy of f."""
         if f.group != self.group:
             raise GroupMismatchError("function lives on a different group")
-        return FunctionOnG(self.group, (self.matrix @ f.values.T).T)
+        return FunctionOnG(self.group, f.values)
 
     def residual(self, f: FunctionOnG) -> float:
         return (self.reproduce(f) - f).max_abs()
@@ -282,7 +290,7 @@ def reproducing_kernel(model: TranslationModel) -> ReproducingKernel:
             f"[{lo:.3e}, {hi:.3e}]); the window translates do not "
             f"span the whole space", delta=lo,
             xi=model.ambient.element_at(np.argmin(model.window_spectrum)).coords)
-    return ReproducingKernel(model.ambient, np.eye(model.ambient.order, dtype=np.complex128))
+    return ReproducingKernel(model.ambient)
 
 
 @dataclass(eq=False)

@@ -8,7 +8,9 @@ per character.
 Transfer matrices are cached on the owning system and propagated through
 adjoints, compositions and inverse transforms, so structural identities such
 as "the transfer of the adjoint is the conjugate transpose" hold exactly as
-complex doubles rather than up to a fresh transform's round-off.
+complex doubles rather than up to a fresh transform's round-off.  A transfer
+matrix in turn keeps its per-character spectrum once ``frames`` has computed
+it, so every stability verdict on one system shares one eigen-solve.
 """
 
 from __future__ import annotations
@@ -113,7 +115,8 @@ class VectorSequence:
 class TransferMatrix:
     """Per-character complex matrices: one rows x cols matrix for each character."""
 
-    __slots__ = ("group", "matrices")
+    # _spectrum: None until ``frames`` stores the read-only spectrum of the matrices
+    __slots__ = ("group", "matrices", "_spectrum")
 
     def __init__(self, group: GroupSpec, matrices) -> None:
         arr = np.asarray(matrices, dtype=np.complex128)
@@ -124,6 +127,7 @@ class TransferMatrix:
         arr.setflags(write=False)
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "matrices", arr)
+        object.__setattr__(self, "_spectrum", None)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("TransferMatrix is immutable")
