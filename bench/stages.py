@@ -3,22 +3,27 @@
     python bench/stages.py --out BENCH.json --label change
     python bench/stages.py --out BENCH.json --label parent --src /path/to/other/checkout/src
 
-Times ``convolve`` and ``apply`` (a 3x2 system) on square tori of order 64,
+Times ``exact_sums`` on the block shapes the benchmark's workloads sum
+((16, 2048), (64, 512), (28, 1152) and (30, 1024), products of normal
+draws); ``convolve`` and ``apply`` (a 3x2 system) on square tori of order 64,
 256, 1024 and 2304; on the same tori the build stages ``sample_matrix`` (2
 generators, 3 probes), ``synthesize`` and ``analysis_transform`` of a
-translation model with a delta window and strides (2, 2), and
-``reproducing_kernel`` of a random window up to order 1024; the stability
-verdicts ``diagnostics`` and ``moore_penrose`` and ``left_inverse_family``
-(6x4 systems) and ``square_inverse`` (4x4) on the same tori and on order
-4096, the size of the benchmark's ``stability_scan``; ``coefficients_of`` and
+translation model with a delta window and strides (2, 2), the exact applies
+of its procedure, ``take_samples`` (3x2) and ``reconstruct_coefficients``
+(2x3, Moore-Penrose dual), and ``reproducing_kernel`` of a random window up
+to order 1024; the stability verdicts ``diagnostics`` and ``moore_penrose``
+and ``left_inverse_family`` (6x4 systems) and ``square_inverse`` (4x4) on
+the same tori and on order 4096, the size of the benchmark's
+``stability_scan``; ``coefficients_of`` and
 ``semidirect_sample_and_reconstruct`` on the C4 reduction of Z24 x Z24 and
 Z48 x Z48 with strides (3, 3), as in the benchmark's ``semidirect_c4``;
 ``make_procedure`` with each kind of left inverse (6x4 Moore-Penrose and
 family, 4x4 square) on orders 1024 and 4096; and ``verify --all`` end to
 end.  Each is repeated ``REPEATS`` times after one untimed call; reports the
-minimum and the median.  A verdict or procedure is timed on a new system
-object each call, so that its transfer and spectrum are computed, not read
-from the cache.
+minimum and the median.  Fifteen repeats, because the minimum of five did
+not resolve changes below about 1.6x on a shared two-core machine.  A
+verdict or procedure is timed on a new system object each call, so that its
+transfer and spectrum are computed, not read from the cache.
 The package is imported from ``--src`` (default: this checkout's ``src/``),
 so two trees are compared by running the script once for each.  Each run
 replaces its label's entry in the ``--out`` file, keeps the other labels and
@@ -43,7 +48,8 @@ import sys
 from pathlib import Path
 from time import perf_counter
 
-REPEATS = 5
+REPEATS = 15
+BLOCK_SHAPES = ((16, 2048), (64, 512), (28, 1152), (30, 1024))  # exact_sums blocks
 SIDES = (8, 16, 32, 48)  # square tori: |G| = 64, 256, 1024, 2304
 VERDICT_SIDES = SIDES + (64,)  # and |G| = 4096
 PROCEDURE_SIDES = (32, 64)  # |H| = 1024, and 4096 as in stability_scan
@@ -65,6 +71,7 @@ def stages() -> dict:
     import numpy as np
     import groupsampling as gs
     from groupsampling import cli
+    from groupsampling.groups import exact_sums
 
     rng = np.random.default_rng(0)
 
@@ -72,6 +79,11 @@ def stages() -> dict:
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
     out = {}
+    block_rng = np.random.default_rng(1)  # leaves the draws of the other stages as they were
+    for rows, terms in BLOCK_SHAPES:
+        block = block_rng.standard_normal((rows, terms)) * block_rng.standard_normal((rows, terms))
+        out[f"exact_sums/{rows}x{terms}"] = _timed(lambda: exact_sums(block))
+
     for side in SIDES:
         g = gs.GroupSpec((side, side))
         a, x = gs.GroupSequence(g, draw(g.order)), gs.GroupSequence(g, draw(g.order))
@@ -88,6 +100,11 @@ def stages() -> dict:
         out[f"sample_matrix/{g.order}"] = _timed(lambda: gs.sample_matrix(model, probes))
         out[f"synthesize/{g.order}"] = _timed(lambda: gs.synthesize(model, lattice_coeffs))
         out[f"analysis_transform/{g.order}"] = _timed(lambda: gs.analysis_transform(model, a))
+        proc = gs.make_procedure(model, probes=probes)
+        samples = gs.take_samples(proc, lattice_coeffs)
+        out[f"take_samples_3x2/{g.order}"] = _timed(lambda: gs.take_samples(proc, lattice_coeffs))
+        out[f"reconstruct_coefficients_2x3/{g.order}"] = _timed(
+            lambda: gs.reconstruct_coefficients(proc, samples))
         if g.order <= 1024:  # a new model each call, so no cached spectrum is reused
             out[f"reproducing_kernel/{g.order}"] = _timed(
                 lambda: gs.reproducing_kernel(gs.TranslationModel(g, a, sub, gens)))
@@ -164,7 +181,7 @@ def main(argv=None) -> int:
     record.setdefault("timings", {})[args.label] = timings
     args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     for name, t in timings.items():
-        print(f"{args.label:>8} {name:<31} min {t['min_s']:.4f} s  median {t['median_s']:.4f} s")
+        print(f"{args.label:>8} {name:<36} min {t['min_s']:.4f} s  median {t['median_s']:.4f} s")
     return 0
 
 

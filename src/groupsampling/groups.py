@@ -17,11 +17,18 @@ regroupings of the same sums agree bitwise: every exact output point is a
 single correctly rounded sum, bitwise the value ``math.fsum`` gives.  They
 share one vectorised kernel, :func:`exact_sums`, which sums blocks of output
 points at once by error-free extraction (Rump, Ogita and Oishi, "Accurate
-floating-point summation part I", SIAM J. Sci. Comput. 31(1), 2008).  The
-convolution kernel sums only the products that can change a correctly
-rounded sum, skipping those with an exact-zero factor, and only the output
-points asked for (``convolve(a, x, at=indices)``, which ``sample_matrix``
-uses to evaluate the lattice points alone).  :func:`convolve_fft` is the
+floating-point summation part I", SIAM J. Sci. Comput. 31(1), 2008).  One
+extraction level with one error bound for the whole block certifies the
+rounding of almost every row (part II: "sign, K-fold faithful and rounding
+to nearest", 31(2), 2008); the convolution kernel takes that bound from the
+largest magnitudes of its operands.  The rows the certificate leaves open
+(ties, sums near a rounding boundary, zero or subnormal sums, non-finite
+terms) go through extraction levels repeated until nothing is left, then
+``math.fsum``.  The convolution kernel sums only the products that can
+change a correctly rounded sum, skipping those with an exact-zero factor,
+and only the output points asked for (``convolve(a, x, at=indices)``, which
+``sample_matrix`` uses to evaluate the lattice points alone).
+:func:`convolve_fft` is the
 fast path; it works on stacks of sequences through the batched transform
 pair ``GroupSpec.fft`` and ``GroupSpec.ifft``.
 """
@@ -42,35 +49,84 @@ from .errors import GroupMismatchError
 # compute blocks of them on the fly from the per-factor tables.
 _DIFFERENCE_TABLE_MAX_ORDER = 1024
 
-# Below this many terms in all, one math.fsum per row beats the extraction
-# passes of exact_sums, whose numpy calls cost a fixed ~50 us: one 86-term row
-# took 5 us by fsum and 53 us by extraction, one 2048-term row 99 us against
-# 56 us, and the two met near 1200 terms.
-_FSUM_BELOW = 1200
+# Below this many terms in all, one math.fsum per row beats the certified
+# extraction level of exact_sums, whose numpy calls cost a fixed 20-33 us: one
+# 500-term row took 17-19 us by fsum and 19-20 us by extraction, one 1000-term
+# row 52-58 us against 22-33 us, and the two met near 800 terms.
+_FSUM_BELOW = 800
 
 # Terms gathered per block of output points in _exact_convolve: 256 kB, so
-# that the terms and the two work arrays of exact_sums stay in a 2 MB L2 cache.
+# that the terms and the work array of exact_sums stay in a 2 MB L2 cache.
+# On Z32 x Z32 a dense convolve took 31-33 ms with 2^14 terms, 22-23 ms with
+# 2^15 and 19 ms with 2^16, which would double the largest buffer.
 _BLOCK_TERMS = 1 << 15
+
+_MIN_NORMAL = np.finfo(np.float64).tiny
 
 
 def _fsum_rows(terms: np.ndarray) -> np.ndarray:
     return np.array([math.fsum(row) for row in terms.tolist()], dtype=np.float64)
 
 
-def exact_sums(terms: np.ndarray) -> np.ndarray:
+def exact_sums(terms: np.ndarray, bound: float | None = None) -> np.ndarray:
     """Correctly rounded sum of each row of a (B, K) float64 array.
 
-    The result is bitwise that of ``math.fsum`` over each row.  Large inputs
-    use error-free extraction (Rump, Ogita and Oishi, "Accurate floating-point
-    summation part I", SIAM J. Sci. Comput. 31(1), 2008): with 2^M >= K + 2
-    and sigma = 2^(M + e) >= 2^M max|r| per row, the parts
+    The result is bitwise that of ``math.fsum`` over each row.  ``bound`` is
+    no smaller than any |term| (default: the largest |term|).  Large inputs
+    take one level of error-free extraction for the whole block (Rump, Ogita
+    and Oishi, "Accurate floating-point summation part I", SIAM J. Sci.
+    Comput. 31(1), 2008): with bound < 2^e, 2^m >= K + 2 and
+    sigma = 2^(e + m + 1), the parts q = (t + sigma) - sigma and their row sum
+    S are exact, the remainders r = t - q are exact with |r| <= 2^(e + m - 52),
+    and R = fl(sum r) is within B = 2^(e + 1 + 3m - 105) of sum r in any
+    summation order.  The row sum is then c + err + (sum r - R), where
+    c = fl(S + R) and err is its TwoSum error, so c is the correctly rounded
+    row sum when c is normal and |err| < h - 2B, h being half the gap from c
+    to its neighbour on err's side (part II: "sign, K-fold faithful and
+    rounding to nearest", 31(2), 2008).  The test is strict, so it also
+    excludes ties.  Every other row (ties, sums near a rounding boundary,
+    zero or subnormal sums, non-finite terms, bounds near overflow or
+    underflow) goes to :func:`_multilevel_sums`.  ``terms`` is left unchanged.
+    """
+    if terms.size < _FSUM_BELOW:
+        return _fsum_rows(terms)
+    m = (terms.shape[1] + 1).bit_length()  # ceil(log2(K + 2))
+    if bound is None:
+        bound = np.abs(terms).max()
+    e = math.frexp(bound)[1]
+    # sigma must be finite and B normal
+    if not (math.isfinite(bound) and e + m <= 1022 and e + 3 * m - 104 >= -1022):
+        return _multilevel_sums(terms)
+    sigma = math.ldexp(1.0, e + m + 1)
+    q = np.add(terms, sigma)
+    q -= sigma
+    s = q.sum(axis=1)
+    r = np.subtract(terms, q, out=q).sum(axis=1)
+    c = s + r
+    z = c - s
+    err = (s - (c - z)) + (r - z)
+    frac, exp = np.frexp(c)
+    # at a power of two the gap toward zero is half the gap away from it
+    toward_zero = (np.abs(frac) == 0.5) & (np.signbit(err) != np.signbit(c))
+    half_gap = np.ldexp(1.0, exp - 54 - toward_zero)
+    certified = (np.abs(c) >= _MIN_NORMAL) & (
+        np.abs(err) < half_gap - math.ldexp(1.0, e + 3 * m - 103))
+    if not certified.all():
+        c[~certified] = _multilevel_sums(terms[~certified])
+    return c
+
+
+def _multilevel_sums(terms: np.ndarray) -> np.ndarray:
+    """:func:`exact_sums` by extraction levels repeated until nothing is left.
+
+    With 2^M >= K + 2 and sigma = 2^(M + e) >= 2^M max|r| per row, the parts
     q = (sigma + r) - sigma are exact, their sum is exact in any order, and
     the remainders r - q are exact and at most half an ulp of sigma.  Levels
     repeat until the remainders vanish; the exact row sum is then the exact
     sum of the level sums, which ``math.fsum`` rounds as it would round the
     row.  Rows with a non-finite term, or terms so large that sigma or a
     level sum could overflow, are summed by ``math.fsum``, keeping its values
-    and exceptions.  ``terms`` is left unchanged.
+    and exceptions.
     """
     if terms.size < _FSUM_BELOW:
         return _fsum_rows(terms)
@@ -82,7 +138,7 @@ def exact_sums(terms: np.ndarray) -> np.ndarray:
         out = np.empty(terms.shape[0])
         out[~safe] = _fsum_rows(terms[~safe])
         if safe.any():
-            out[safe] = exact_sums(terms[safe])
+            out[safe] = _multilevel_sums(terms[safe])
         return out
     levels = []
     while mu.any():
@@ -111,16 +167,26 @@ def _exact_convolve(a_values: np.ndarray, x_values: np.ndarray, group: GroupSpec
     skipped when every entry of a is finite: their products are exact zeros,
     which no correctly rounded sum sees (``math.fsum`` drops zeros of either
     sign), while a non-finite a must still meet them, as inf * 0 is NaN.
-    Blocks of output points are summed together by :func:`exact_sums`.
+    Blocks of output points are summed together by :func:`exact_sums`, with
+    one bound on every product of the call: the product of the largest real
+    or imaginary magnitudes of the two operands (NaN or inf when either has a
+    non-finite entry or the product overflows, which :func:`exact_sums` sends
+    to its multi-level path).
     """
-    m_rows, _, order = a_values.shape
+    m_rows, n_cols, order = a_values.shape
     n_points = order if points is None else len(points)
+    # rounding is monotone, so |fl(u * v)| <= fl(max|u| * max|v|); np.maximum keeps NaN
+    bound = math.prod(float(np.maximum(np.abs(v.real).max(initial=0.0),
+                                       np.abs(v.imag).max(initial=0.0)))
+                      for v in (a_values, x_values))
     cols = slice(None)
     nonzero = x_values.any(axis=0)
     if not nonzero.all() and np.isfinite(a_values).all():
         cols = np.flatnonzero(nonzero)
         x_values = x_values[:, cols]
-    a_parts = (np.ascontiguousarray(a_values.real), np.ascontiguousarray(a_values.imag))
+    # (M * N, order): np.take along the last axis gathers about twice as fast as indexing
+    a_parts = [np.ascontiguousarray(v).reshape(-1, order)
+               for v in (a_values.real, a_values.imag)]
     # x * -xi is -(x * xi) bitwise: rounding to nearest is symmetric in sign
     xr, xi, neg_xi = (np.ascontiguousarray(p) for p in
                       (x_values.real, x_values.imag, -x_values.imag))
@@ -135,13 +201,14 @@ def _exact_convolve(a_values: np.ndarray, x_values: np.ndarray, group: GroupSpec
         rows = group.differences(slice(start, stop) if points is None
                                  else points[start:stop], cols)
         p = len(rows)
-        ar, ai = (part[:, :, rows].transpose(2, 0, 1, 3) for part in a_parts)
+        ar, ai = (np.take(part, rows, axis=1).reshape(m_rows, n_cols, *rows.shape)
+                  .transpose(2, 0, 1, 3) for part in a_parts)
         t = terms[:p]
         np.multiply(ar, xr, out=t[:, :, 0, 0])
         np.multiply(ai, neg_xi, out=t[:, :, 0, 1])
         np.multiply(ar, xi, out=t[:, :, 1, 0])
         np.multiply(ai, xr, out=t[:, :, 1, 1])
-        sums = exact_sums(t.reshape(p * m_rows * 2, row_terms)).reshape(p, m_rows, 2)
+        sums = exact_sums(t.reshape(p * m_rows * 2, row_terms), bound).reshape(p, m_rows, 2)
         out.real[:, start:start + p] = sums[:, :, 0].T
         out.imag[:, start:start + p] = sums[:, :, 1].T
     return out
