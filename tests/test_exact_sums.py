@@ -51,7 +51,9 @@ def test_matches_fsum_bitwise(data):
     assert_bitwise(terms, before)  # the caller's terms are left as they were
 
 
-@pytest.mark.parametrize("size", [_FSUM_BELOW - 1, _FSUM_BELOW])
+# 1199 and 1200 sat either side of the former 1,200-term threshold; they now
+# take the certified extraction level in one row and in three.
+@pytest.mark.parametrize("size", [_FSUM_BELOW - 1, _FSUM_BELOW, 1199, 1200])
 @pytest.mark.parametrize("kind", ["products", "cancelling", "subnormal", "normal"])
 def test_both_sides_of_small_input_threshold(size, kind):
     rng = np.random.default_rng(size)
