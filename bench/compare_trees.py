@@ -11,9 +11,12 @@ outputs and prints them, encoded bit for bit, as one JSON object:
   30, 75, 95 and 100% exact zeros; then the same with inf, -inf and NaN
   entries (the raised exception stands in for a value);
 - ``exact_sums`` on blocks of the shapes the benchmark's workloads sum;
-- stdout, stderr and exit code of ``verify --all --seed 0``, of
-  ``verify --all --seed 3 --inject-fault``, and of ``analyze`` and
-  ``roundtrip`` on every bundled scenario.
+- stdout, stderr and exit code of ``verify --all`` at seeds 0 to 9, of
+  ``verify --all --seed 3 --inject-fault``, of ``analyze`` and ``roundtrip``
+  on every bundled scenario, and of the ``cli_verify`` workload's commands at
+  seeds 0 to 2: ``verify --all`` at its seed, and ``verify``, ``analyze`` and
+  ``roundtrip`` on the finite-index scenario on Z48 it generates (its own
+  ``CliVerify.setup``, imported from ``perfbench/``).
 
 The two outputs are compared key by key.  Prints the number of outputs
 compared and each one that differs; exits 0 when every output is bitwise
@@ -29,6 +32,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SCALES = (1.0, 1e150, 1e-300, 5e-324)
@@ -36,6 +40,10 @@ ZERO_SHARES = (0.0, 0.3, 0.75, 0.95, 1.0)
 MODULI = ((40,), (7, 9), (4, 3, 5), (32, 32), (48, 48))
 BLOCK_SHAPES = ((16, 2048), (64, 512), (28, 1152), (30, 1024))
 NON_FINITE = (float("inf"), float("-inf"), float("nan"))
+VERIFY_SEEDS = range(10)
+GENERATED_SEEDS = range(3)
+GENERATED = "generated_finite_index.json"  # the file ``CliVerify.setup`` writes
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def _encode(call) -> str:
@@ -116,17 +124,31 @@ def _cli_outputs(out: dict, scenarios: Path) -> None:
                 code = exc.code
         return {"stdout": stdout.getvalue(), "stderr": stderr.getvalue(), "code": code}
 
-    out["verify --all --seed 0"] = run(["verify", "--all", "--seed", "0"])
+    for seed in VERIFY_SEEDS:
+        out[f"verify --all --seed {seed}"] = run(["verify", "--all", "--seed", str(seed)])
     out["verify --all --seed 3 --inject-fault"] = run(
         ["verify", "--all", "--seed", "3", "--inject-fault"])
     os.chdir(scenarios)  # relative paths, so that messages do not name the tree
     for path in sorted(scenarios.glob("*.json")):
         for command in ("analyze", "roundtrip"):
             out[f"{command} {path.name}"] = run([command, path.name])
+    from workloads import CliVerify
+
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        for seed in GENERATED_SEEDS:
+            # the benchmark's own scenario and commands, written to a relative path
+            commands = CliVerify().setup(seed, Path("."))["commands"]
+            # all but the bundled scenarios' roundtrips, whose absolute paths name the tree
+            for argv in (argv for argv, _ in commands
+                         if argv[0] != "roundtrip" or argv[1] == GENERATED):
+                out[f"cli_verify seed {seed}: {' '.join(argv)}"] = run(argv)
+        os.chdir(scenarios)  # leave the directory before it is removed
 
 
 def emit(src: Path) -> None:
     sys.path.insert(0, str(src))
+    sys.path.append(str(PERFBENCH))  # for the benchmark's workload generators
     out: dict = {}
     _kernel_outputs(out)
     _cli_outputs(out, src / "groupsampling" / "scenarios")

@@ -18,9 +18,11 @@ the same tori and on order 4096, the size of the benchmark's
 ``semidirect_sample_and_reconstruct`` on the C4 reduction of Z24 x Z24 and
 Z48 x Z48 with strides (3, 3), as in the benchmark's ``semidirect_c4``;
 ``make_procedure`` with each kind of left inverse (6x4 Moore-Penrose and
-family, 4x4 square) on orders 1024 and 4096; and ``verify --all`` end to
-end.  Each is repeated ``REPEATS`` times after one untimed call; reports the
-minimum and the median.  Fifteen repeats, because the minimum of five did
+family, 4x4 square) on orders 1024 and 4096; the foundation checks of
+``verify`` (``cli._foundation_checks``: 100 draws, 25 exact convolutions) on
+Z4, Z48, Z12 x Z12 and Z32 x Z32; and ``verify --all`` end to end.  Each is
+repeated ``REPEATS`` times after one untimed call; reports the minimum and
+the median.  Fifteen repeats, because the minimum of five did
 not resolve changes below about 1.6x on a shared two-core machine.  A
 verdict or procedure is timed on a new system object each call, so that its
 transfer and spectrum are computed, not read from the cache.
@@ -54,6 +56,7 @@ SIDES = (8, 16, 32, 48)  # square tori: |G| = 64, 256, 1024, 2304
 VERDICT_SIDES = SIDES + (64,)  # and |G| = 4096
 PROCEDURE_SIDES = (32, 64)  # |H| = 1024, and 4096 as in stability_scan
 C4_SIDES = (24, 48)  # |G| = 576 and 2304, |H| = 64 and 256
+FOUNDATION_MODULI = ((4,), (48,), (12, 12), (32, 32))  # |G| = 4, 48, 144, 1024
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -155,6 +158,11 @@ def stages() -> dict:
         }
         for name, call in procedures.items():
             out[f"{name}/{g.order}"] = _timed(call)
+
+    for moduli in FOUNDATION_MODULI:
+        g = gs.GroupSpec(moduli)
+        out[f"foundation_checks/{g.order}"] = _timed(
+            lambda: cli._foundation_checks(g, cli._rng(0), 1e-10))
 
     def verify_all():
         with contextlib.redirect_stdout(io.StringIO()):

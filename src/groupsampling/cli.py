@@ -24,7 +24,8 @@ from .errors import (DimensionMismatchError, FrameConditionError, SchemaError,
                      SingularCharacterError)
 from .frames import (DEFAULT_ORACLE_CAP, check_determinant_sandwich, diagnostics,
                      kernel_witness, oracle_frame_bounds)
-from .groups import GroupSequence, GroupSpec, convolve, dft, idft, involution
+from .groups import (GroupSequence, GroupSpec, convolve, dft, exact_norm_sq, idft,
+                     involution)
 from .models import (SemidirectModel, analysis_transform, compose_group_law,
                      quasi_regular_apply, sample_matrix, semidirect_analysis,
                      synthesize)
@@ -246,27 +247,24 @@ def cmd_roundtrip(config: ScenarioConfig, seed: int | None, tol: float | None,
 
 def _foundation_checks(group: GroupSpec, rng: np.random.Generator,
                        tol: float, draws: int = 100) -> list[dict]:
-    worst_round = worst_plancherel = worst_conv = worst_invol = 0.0
-    for _ in range(draws):
-        x = GroupSequence(group, rng.standard_normal(group.order)
-                          + 1j * rng.standard_normal(group.order))
-        back = idft(dft(x))
-        worst_round = max(worst_round,
-                          float(np.abs(back.values - x.values).max()))
-        lhs = x.norm_sq()
-        rhs = dft(x).norm_sq() / group.order
-        worst_plancherel = max(worst_plancherel, abs(lhs - rhs) / max(lhs, 1.0))
-        worst_invol = max(worst_invol,
-                          float(np.abs(involution(involution(x)).values - x.values).max()))
-    for _ in range(draws // 4):
-        a = GroupSequence(group, rng.standard_normal(group.order)
-                          + 1j * rng.standard_normal(group.order))
-        x = GroupSequence(group, rng.standard_normal(group.order)
-                          + 1j * rng.standard_normal(group.order))
-        lhs = dft(convolve(a, x)).values
-        rhs = dft(a).values * dft(x).values
-        worst_conv = max(worst_conv,
-                         float(np.abs(lhs - rhs).max()) / max(1.0, float(np.abs(rhs).max())))
+    # each identity once over a stack of draws, read from the stream as one draw
+    # at a time would read them: a sequence's real parts, then its imaginary parts
+    order = group.order
+    parts = rng.standard_normal((draws, 2, order))
+    x = VectorSequence(group, parts[:, 0] + 1j * parts[:, 1])
+    x_hat = dft(x)
+    worst_round = float(np.abs(idft(x_hat).values - x.values).max())
+    lhs, rhs = exact_norm_sq(x.values), exact_norm_sq(x_hat.values) / order
+    worst_plancherel = float((np.abs(lhs - rhs) / np.maximum(lhs, 1.0)).max())
+    worst_invol = float(np.abs(involution(involution(x)).values - x.values).max())
+    pairs = rng.standard_normal((draws // 4, 2, 2, order))
+    pairs = pairs[:, :, 0] + 1j * pairs[:, :, 1]  # (pair, a or x, order)
+    a, x = VectorSequence(group, pairs[:, 0]), VectorSequence(group, pairs[:, 1])
+    lhs = dft(VectorSequence.from_components([convolve(a.component(k), x.component(k))
+                                              for k in range(draws // 4)])).values
+    rhs = dft(a).values * dft(x).values
+    worst_conv = float((np.abs(lhs - rhs).max(axis=1)
+                        / np.maximum(1.0, np.abs(rhs).max(axis=1))).max())
     return [
         _check("dft_roundtrip", worst_round, tol),
         _check("plancherel", worst_plancherel, tol),

@@ -29,8 +29,9 @@ change a correctly rounded sum, skipping those with an exact-zero factor,
 and only the output points asked for (``convolve(a, x, at=indices)``, which
 ``sample_matrix`` uses to evaluate the lattice points alone).
 :func:`convolve_fft` is the
-fast path; it works on stacks of sequences through the batched transform
-pair ``GroupSpec.fft`` and ``GroupSpec.ifft``.
+fast path; it, :func:`dft`, :func:`idft`, :func:`involution` and
+:func:`exact_norm_sq` work on stacks of sequences, the transforms through
+``GroupSpec.fft`` and ``GroupSpec.ifft``.
 """
 
 from __future__ import annotations
@@ -223,10 +224,11 @@ def exact_inner(a: np.ndarray, b: np.ndarray) -> complex:
     return complex(re, im)
 
 
-def exact_norm_sq(a: np.ndarray) -> float:
-    """Correctly rounded sum of |a[k]|^2."""
-    ar, ai = a.real.ravel(), a.imag.ravel()
-    return float(exact_sums(np.concatenate([ar * ar, ai * ai])[None, :])[0])
+def exact_norm_sq(a: np.ndarray):
+    """Correctly rounded sum of |a[..., k]|^2: a float, or one per row of a stack."""
+    ar, ai = a.real.reshape(-1, a.shape[-1]), a.imag.reshape(-1, a.shape[-1])
+    sums = exact_sums(np.concatenate([ar * ar, ai * ai], axis=1))
+    return float(sums[0]) if a.ndim == 1 else sums.reshape(a.shape[:-1])
 
 
 @dataclass(frozen=True)
@@ -473,14 +475,14 @@ class GroupSequence:
         return f"GroupSequence(moduli={self.group.moduli}, values={self.values!r})"
 
 
-def dft(x: GroupSequence) -> GroupSequence:
-    """Forward transform, unnormalized: x^(xi) = sum_h x(h) conj(xi(h))."""
-    return GroupSequence(x.group, x.group.fft(x.values))
+def dft(x):
+    """Forward transform x^(xi) = sum_h x(h) conj(xi(h)), unnormalized; takes stacks."""
+    return type(x)(x.group, x.group.fft(x.values))
 
 
-def idft(x: GroupSequence) -> GroupSequence:
-    """Inverse transform; carries the 1/|H| factor."""
-    return GroupSequence(x.group, x.group.ifft(x.values))
+def idft(x):
+    """Inverse transform; carries the 1/|H| factor.  Takes stacks as :func:`dft` does."""
+    return type(x)(x.group, x.group.ifft(x.values))
 
 
 def convolve(a: GroupSequence, x: GroupSequence, *,
@@ -514,9 +516,9 @@ def convolve_fft(a, x):
     return type(a)(g, g.ifft(g.fft(a.values) * g.fft(x.values)))
 
 
-def involution(a: GroupSequence) -> GroupSequence:
-    """a*(h) = conj(a(-h)); its transform is the conjugate of a's."""
-    return GroupSequence(a.group, np.conj(a.values[a.group.negation_perm]))
+def involution(a):
+    """a*(h) = conj(a(-h)), the transform's conjugate; takes stacks as :func:`dft` does."""
+    return type(a)(a.group, np.conj(a.values[..., a.group.negation_perm]))
 
 
 @dataclass(frozen=True)

@@ -71,7 +71,7 @@ class VectorSequence:
         return VectorSequence(self.group, self.values[:, self.group.translation_perm(idx)])
 
     def norm_sq(self) -> float:
-        return exact_norm_sq(self.values)
+        return exact_norm_sq(self.values.ravel())
 
     def norm(self) -> float:
         return math.sqrt(self.norm_sq())
