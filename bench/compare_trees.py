@@ -13,10 +13,17 @@ outputs and prints them, encoded bit for bit, as one JSON object:
 - ``exact_sums`` on blocks of the shapes the benchmark's workloads sum;
 - stdout, stderr and exit code of ``verify --all`` at seeds 0 to 9, of
   ``verify --all --seed 3 --inject-fault``, of ``analyze`` and ``roundtrip``
-  on every bundled scenario, and of the ``cli_verify`` workload's commands at
-  seeds 0 to 2: ``verify --all`` at its seed, and ``verify``, ``analyze`` and
-  ``roundtrip`` on the finite-index scenario on Z48 it generates (its own
-  ``CliVerify.setup``, imported from ``perfbench/``).
+  on every bundled scenario (``roundtrip`` also with ``--left-inverse family``,
+  with ``--left-inverse square`` and with ``--tol 1e-3``), of the
+  ``cli_verify`` workload's commands at seeds 0 to 2: ``verify --all`` at its
+  seed, and ``verify``, ``analyze`` and ``roundtrip`` on the finite-index
+  scenario on Z48 it generates (its own ``CliVerify.setup``, imported from
+  ``perfbench/``), and of the usage errors that must exit 2: bad tolerances on
+  the command line and in a config, and a malformed ``left_inverse.transfer``.
+  A report on stdout is compared as the JSON it parses to, with every float as
+  its exact hex and every object as its ordered key/value pairs, so that two
+  layouts of the same values compare equal; any other stdout is compared as
+  text.  An exception that escapes ``main`` stands in for the output.
 
 The two outputs are compared key by key.  Prints the number of outputs
 compared and each one that differs; exits 0 when every output is bitwise
@@ -41,6 +48,10 @@ MODULI = ((40,), (7, 9), (4, 3, 5), (32, 32), (48, 48))
 BLOCK_SHAPES = ((16, 2048), (64, 512), (28, 1152), (30, 1024))
 NON_FINITE = (float("inf"), float("-inf"), float("nan"))
 VERIFY_SEEDS = range(10)
+ROUNDTRIP_OPTIONS = ((), ("--left-inverse", "family"), ("--left-inverse", "square"),
+                     ("--tol", "1e-3"))
+BAD_TOLERANCES = ("-1", "nan", "inf")
+BAD_TRANSFERS = ({"moduli": [4]}, 5)  # a dump without its values, and not an object
 GENERATED_SEEDS = range(3)
 GENERATED = "generated_finite_index.json"  # the file ``CliVerify.setup`` writes
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -112,6 +123,17 @@ def _kernel_outputs(out: dict) -> None:
             out[f"exact_sums/{shape}/{kind}"] = _encode(lambda: exact_sums(terms))
 
 
+def _bits(value):
+    """A parsed report with each float as its exact hex and each object as ordered pairs."""
+    if isinstance(value, float):
+        return ["float", value.hex()]
+    if isinstance(value, dict):
+        return ["object", [[key, _bits(v)] for key, v in value.items()]]
+    if isinstance(value, list):
+        return ["array", [_bits(v) for v in value]]
+    return value
+
+
 def _cli_outputs(out: dict, scenarios: Path) -> None:
     from groupsampling import cli
 
@@ -122,7 +144,13 @@ def _cli_outputs(out: dict, scenarios: Path) -> None:
                 code = cli.main(argv)
             except SystemExit as exc:
                 code = exc.code
-        return {"stdout": stdout.getvalue(), "stderr": stderr.getvalue(), "code": code}
+            except Exception as exc:  # the exception is the output being compared
+                code = f"raises {type(exc).__name__}: {exc}"
+        try:
+            report = ["report", _bits(json.loads(stdout.getvalue()))]
+        except json.JSONDecodeError:
+            report = stdout.getvalue()
+        return {"stdout": report, "stderr": stderr.getvalue(), "code": code}
 
     for seed in VERIFY_SEEDS:
         out[f"verify --all --seed {seed}"] = run(["verify", "--all", "--seed", str(seed)])
@@ -130,12 +158,26 @@ def _cli_outputs(out: dict, scenarios: Path) -> None:
         ["verify", "--all", "--seed", "3", "--inject-fault"])
     os.chdir(scenarios)  # relative paths, so that messages do not name the tree
     for path in sorted(scenarios.glob("*.json")):
-        for command in ("analyze", "roundtrip"):
-            out[f"{command} {path.name}"] = run([command, path.name])
+        out[f"analyze {path.name}"] = run(["analyze", path.name])
+        for options in ROUNDTRIP_OPTIONS:
+            argv = ["roundtrip", path.name, *options]
+            out[" ".join(argv)] = run(argv)
+    for tol in BAD_TOLERANCES:
+        argv = ["analyze", "identity.json", f"--tol={tol}"]
+        out[" ".join(argv)] = run(argv)
+    identity = json.loads((scenarios / "identity.json").read_text(encoding="utf-8"))
     from workloads import CliVerify
 
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
+        bad = {"frame_tolerance_-1": {**identity, "tolerances": {"frame": -1}}}
+        for k, transfer in enumerate(BAD_TRANSFERS):
+            bad[f"transfer_{k}"] = {**identity, "left_inverse": {"kind": "family",
+                                                                 "transfer": transfer}}
+        for name, payload in bad.items():
+            Path(f"{name}.json").write_text(json.dumps(payload), encoding="utf-8")
+            for command in ("analyze", "roundtrip"):
+                out[f"{command} {name}.json"] = run([command, f"{name}.json"])
         for seed in GENERATED_SEEDS:
             # the benchmark's own scenario and commands, written to a relative path
             commands = CliVerify().setup(seed, Path("."))["commands"]

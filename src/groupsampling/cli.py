@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import LeftInverseChoice, ScenarioConfig, parse_config
-from .duals import verify_left_inverse
+from .config import LeftInverseChoice, ScenarioConfig, parse_config, parse_tolerance
+from .duals import LeftInverse, verify_left_inverse
 from .errors import (DimensionMismatchError, FrameConditionError, SchemaError,
                      SingularCharacterError)
 from .frames import (DEFAULT_ORACLE_CAP, check_determinant_sandwich, diagnostics,
@@ -28,13 +28,13 @@ from .groups import (GroupSequence, GroupSpec, convolve, dft, exact_norm_sq, idf
                      involution)
 from .models import (SemidirectModel, analysis_transform, compose_group_law,
                      quasi_regular_apply, sample_matrix, semidirect_analysis,
-                     synthesize)
+                     semidirect_reduce, synthesize)
 from .report import render_report
 from .sampling import (FiniteIndexReduction, SamplingProcedure, finite_index_model,
                        interpolation_check, make_procedure, reconstruct_coefficients,
                        reconstruct_function, semidirect_sample_and_reconstruct,
                        take_samples)
-from .systems import VectorSequence, adjoint_system, apply, transfer
+from .systems import TransferMatrix, VectorSequence, adjoint_system, apply, transfer
 
 REPORT_DIR_ENV = "GROUPSAMPLING_REPORT_DIR"
 
@@ -63,22 +63,17 @@ class ScenarioRuntime:
         self.config = config
         self.kind = "translation"
         self.reduction: FiniteIndexReduction | None = None
-        self.semidirect: SemidirectModel | None = None
-        if config.is_semidirect:
+        if isinstance(config.model, SemidirectModel):
             self.kind = "semidirect"
-            self.semidirect = config.model
-            self.sd_reduction = config.reduction()
-            self.model = self.sd_reduction.model
+            self.model = semidirect_reduce(config.model).model
         elif config.finite_index_strides is not None:
             self.kind = "finite_index"
             self.reduction = finite_index_model(config.model, config.finite_index_strides)
             self.model = self.reduction.model
         else:
             self.model = config.model
-        if config.system is not None:
-            self.system = config.system
-        else:
-            self.system = sample_matrix(self.model, config.probes)
+        self.system = (config.system if config.system is not None
+                       else sample_matrix(self.model, config.probes))
 
     def build_procedure(self, left_kind: str | None = None,
                         tol: float | None = None) -> SamplingProcedure:
@@ -109,29 +104,23 @@ def bundled_scenario_paths() -> list[str]:
     return [str(root.joinpath(f"{name}.json")) for name in BUNDLED_SCENARIOS]
 
 
-def _report_path(path_arg: str) -> Path:
-    path = Path(path_arg)
-    directory = os.environ.get(REPORT_DIR_ENV)
-    if directory and not path.is_absolute():
-        return Path(directory) / path
-    return path
-
-
 def emit_report(report: dict, report_arg: str | None) -> None:
     text = render_report(report)
     sys.stdout.write(text)
     if report_arg:
-        path = _report_path(report_arg)
+        path = Path(report_arg)
+        directory = os.environ.get(REPORT_DIR_ENV)
+        if directory and not path.is_absolute():
+            path = Path(directory) / path
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text, encoding="utf-8")
 
 
-def cmd_analyze(config: ScenarioConfig, tol: float | None, timings: bool) -> tuple[dict, int]:
-    started = time.perf_counter()
+def cmd_analyze(config: ScenarioConfig, tol: float | None) -> dict:
     runtime = ScenarioRuntime(config)
     frame_tol = tol if tol is not None else config.tolerance("frame")
     diag = diagnostics(runtime.system, frame_tol)
-    report = {
+    return {
         "command": "analyze",
         "scenario": config.name,
         "scenario_kind": runtime.kind,
@@ -140,9 +129,6 @@ def cmd_analyze(config: ScenarioConfig, tol: float | None, timings: bool) -> tup
         "diagnostics": diag.to_json_dict(),
         "exit_code": EXIT_PASS if diag.is_frame else EXIT_FAIL,
     }
-    if timings:
-        report["timings"] = {"total_s": time.perf_counter() - started}
-    return report, report["exit_code"]
 
 
 def _roundtrip_checks(runtime: ScenarioRuntime, proc: SamplingProcedure,
@@ -160,7 +146,7 @@ def _roundtrip_checks(runtime: ScenarioRuntime, proc: SamplingProcedure,
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
     if runtime.kind == "semidirect":
-        sd = runtime.semidirect
+        sd = config.model
         coeffs = draw((habs.order, n)).T  # component-major for the vector space
         x = VectorSequence(habs, coeffs)
         f = synthesize(proc.model, x)
@@ -218,8 +204,7 @@ def _roundtrip_checks(runtime: ScenarioRuntime, proc: SamplingProcedure,
 
 
 def cmd_roundtrip(config: ScenarioConfig, seed: int | None, tol: float | None,
-                  left_kind: str | None, timings: bool) -> tuple[dict, int]:
-    started = time.perf_counter()
+                  left_kind: str | None) -> dict:
     runtime = ScenarioRuntime(config)
     used_seed = config.seed if seed is None else seed
     report = {
@@ -233,16 +218,13 @@ def cmd_roundtrip(config: ScenarioConfig, seed: int | None, tol: float | None,
     except (FrameConditionError, SingularCharacterError) as exc:
         report["error"] = str(exc)
         report["exit_code"] = EXIT_FAIL
-        return report, EXIT_FAIL
+        return report
     checks = _roundtrip_checks(runtime, proc, _rng(used_seed))
     report["diagnostics"] = proc.diag.to_json_dict()
     report["left_inverse"] = proc.dual.kind
     report["checks"] = checks
-    ok = all(c["pass"] for c in checks)
-    report["exit_code"] = EXIT_PASS if ok else EXIT_FAIL
-    if timings:
-        report["timings"] = {"total_s": time.perf_counter() - started}
-    return report, report["exit_code"]
+    report["exit_code"] = EXIT_PASS if all(c["pass"] for c in checks) else EXIT_FAIL
+    return report
 
 
 def _foundation_checks(group: GroupSpec, rng: np.random.Generator,
@@ -297,14 +279,12 @@ def _verify_checks(runtime: ScenarioRuntime, rng: np.random.Generator,
 
     if diag.is_frame:
         proc = runtime.build_procedure()
-        residual = verify_left_inverse(proc.system, proc.dual)
+        dual = proc.dual
         if inject_fault:
-            perturbed = proc.dual.transfer.matrices.copy()
+            perturbed = dual.transfer.matrices.copy()
             perturbed[:, 0, 0] += 1e-3
-            residual = float(np.abs(np.matmul(perturbed,
-                                              transfer(proc.system).matrices)
-                                    - np.eye(proc.system.cols)).max())
-        checks.append(_check("left_inverse_residual", residual,
+            dual = LeftInverse(TransferMatrix(dual.transfer.group, perturbed), dual.kind)
+        checks.append(_check("left_inverse_residual", verify_left_inverse(proc.system, dual),
                              config.tolerance("left_inverse")))
         if proc.diag.is_riesz:
             checks.append(_check("interpolation_deviation", interpolation_check(proc),
@@ -316,7 +296,7 @@ def _verify_checks(runtime: ScenarioRuntime, rng: np.random.Generator,
         checks.append(_check("necessity_witness_norm", abs(witness.norm() - 1.0), 1e-9))
 
     if runtime.kind == "semidirect":
-        sd = runtime.semidirect
+        sd = config.model
         torus = sd.torus
         f = GroupSequence(torus, rng.standard_normal(torus.order)
                           + 1j * rng.standard_normal(torus.order))
@@ -337,9 +317,7 @@ def _verify_checks(runtime: ScenarioRuntime, rng: np.random.Generator,
     return checks
 
 
-def cmd_verify(configs: list[ScenarioConfig], seed: int, inject_fault: bool,
-               timings: bool) -> tuple[dict, int]:
-    started = time.perf_counter()
+def cmd_verify(configs: list[ScenarioConfig], seed: int, inject_fault: bool) -> dict:
     scenarios = []
     all_ok = True
     for config in configs:
@@ -353,16 +331,18 @@ def cmd_verify(configs: list[ScenarioConfig], seed: int, inject_fault: bool,
             "checks": checks,
             "pass": ok,
         })
-    report = {
+    return {
         "command": "verify",
         "rng": {"generator": "pcg64", "seed": seed},
         "inject_fault": inject_fault,
         "scenarios": scenarios,
         "exit_code": EXIT_PASS if all_ok else EXIT_FAIL,
     }
-    if timings:
-        report["timings"] = {"total_s": time.perf_counter() - started}
-    return report, report["exit_code"]
+
+
+def tolerance(text: str) -> float:
+    """``--tol``: a config's tolerance rule; argparse turns its ValueError into exit 2."""
+    return parse_tolerance(float(text), "--tol")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -370,31 +350,31 @@ def build_parser() -> argparse.ArgumentParser:
         prog="groupsampling",
         description="Analyze, exercise and verify sampling scenarios on finite "
                     "abelian groups.")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--report", default=None, help="Also write the report here.")
+    output.add_argument("--timings", action="store_true",
+                        help="Include wall-clock timings (breaks byte determinism).")
+    frame = argparse.ArgumentParser(add_help=False)
+    frame.add_argument("--tol", type=tolerance, default=None,
+                       help="Frame tolerance override (a finite number >= 0).")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    analyze = sub.add_parser("analyze", help="Frame diagnostics for a scenario.")
+    analyze = sub.add_parser("analyze", parents=[output, frame],
+                             help="Frame diagnostics for a scenario.")
     analyze.add_argument("config", help="Scenario JSON file.")
-    analyze.add_argument("--tol", type=float, default=None,
-                         help="Frame tolerance override.")
-    analyze.add_argument("--report", default=None, help="Also write the report here.")
-    analyze.add_argument("--timings", action="store_true",
-                         help="Include wall-clock timings (breaks byte determinism).")
 
-    roundtrip = sub.add_parser("roundtrip",
+    roundtrip = sub.add_parser("roundtrip", parents=[output, frame],
                                help="Sample, reconstruct and report residuals.")
     roundtrip.add_argument("config", help="Scenario JSON file.")
     roundtrip.add_argument("--seed", type=int, default=None,
                            help="Seed for the coefficient draw (defaults to the "
                                 "config seed).")
-    roundtrip.add_argument("--tol", type=float, default=None,
-                           help="Frame tolerance override.")
     roundtrip.add_argument("--left-inverse", dest="left_inverse", default=None,
                            choices=["mp", "moore_penrose", "family", "square"],
                            help="Override the configured left-inverse kind.")
-    roundtrip.add_argument("--report", default=None)
-    roundtrip.add_argument("--timings", action="store_true")
 
-    verify = sub.add_parser("verify", help="Run the invariant suite on scenarios.")
+    verify = sub.add_parser("verify", parents=[output],
+                            help="Run the invariant suite on scenarios.")
     verify.add_argument("configs", nargs="*", help="Scenario JSON files.")
     verify.add_argument("--all", action="store_true",
                         help="Verify every bundled scenario.")
@@ -402,34 +382,34 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--inject-fault", dest="inject_fault", action="store_true",
                         help="Deliberately perturb the left inverse; the suite "
                              "must then fail.")
-    verify.add_argument("--report", default=None)
-    verify.add_argument("--timings", action="store_true")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    started = time.perf_counter()
     try:
         if args.command == "analyze":
-            report, code = cmd_analyze(load_config(args.config), args.tol, args.timings)
+            report = cmd_analyze(load_config(args.config), args.tol)
         elif args.command == "roundtrip":
-            report, code = cmd_roundtrip(load_config(args.config), args.seed, args.tol,
-                                         args.left_inverse, args.timings)
+            report = cmd_roundtrip(load_config(args.config), args.seed, args.tol,
+                                   args.left_inverse)
         else:
             paths = list(args.configs)
             if args.all:
                 paths.extend(bundled_scenario_paths())
             if not paths:
                 parser.error("verify needs scenario files or --all")
-            configs = [load_config(p) for p in paths]
-            report, code = cmd_verify(configs, args.seed, args.inject_fault,
-                                      args.timings)
+            report = cmd_verify([load_config(p) for p in paths], args.seed,
+                                args.inject_fault)
     except (SchemaError, DimensionMismatchError) as exc:  # e.g. a square dual of a 4x2 system
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
+    if args.timings:
+        report["timings"] = {"total_s": time.perf_counter() - started}
     emit_report(report, args.report)
-    return code
+    return report["exit_code"]
 
 
 if __name__ == "__main__":  # pragma: no cover

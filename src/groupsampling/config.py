@@ -7,6 +7,7 @@ exit code 2 instead of silently changing a run.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -15,7 +16,7 @@ import numpy as np
 from .errors import SchemaError
 from .frames import LEFT_INVERSE_RESIDUAL_TOL
 from .groups import GroupSequence, GroupSpec, ProductSubgroup
-from .models import SemidirectModel, SemidirectReduction, TranslationModel, semidirect_reduce
+from .models import SemidirectModel, TranslationModel
 from .systems import SequenceMatrix, TransferMatrix
 
 DEFAULT_TOLERANCES = {
@@ -61,6 +62,14 @@ def _float_list(value, where: str) -> list[float]:
             raise SchemaError(f"{where}: expected numbers, got {v!r}")
         out.append(float(v))
     return out
+
+
+def parse_tolerance(value, where: str) -> float:
+    """A tolerance is a finite number >= 0; anything else is a configuration error."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and math.isfinite(value) and value >= 0):
+        raise SchemaError(f"{where}: expected a finite number >= 0, got {value!r}")
+    return float(value)
 
 
 def parse_sequence(data: dict, group: GroupSpec, where: str) -> GroupSequence:
@@ -133,15 +142,14 @@ class LeftInverseChoice:
     kind: str = "moore_penrose"
     seed: int | None = None
     scale: float = 1.0
-    transfer: dict | None = None
+    transfer: TransferMatrix | None = None
 
     def parameter_for(self, system: SequenceMatrix) -> TransferMatrix | None:
         """Materialize the family parameter for a given system, if applicable."""
         if self.kind != "family":
             return None
         if self.transfer is not None:
-            t = TransferMatrix.from_json_dict(self.transfer)
-            return t
+            return self.transfer
         rng = np.random.Generator(np.random.PCG64(0 if self.seed is None else self.seed))
         shape = (system.group.order, system.cols, system.rows)
         mats = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -163,15 +171,6 @@ class ScenarioConfig:
 
     def tolerance(self, key: str) -> float | None:
         return self.tolerances.get(key, DEFAULT_TOLERANCES[key])
-
-    @property
-    def is_semidirect(self) -> bool:
-        return isinstance(self.model, SemidirectModel)
-
-    def reduction(self) -> SemidirectReduction:
-        if not self.is_semidirect:
-            raise SchemaError("scenario is not a semidirect model")
-        return semidirect_reduce(self.model)
 
 
 def parse_config(data: dict) -> ScenarioConfig:
@@ -231,8 +230,14 @@ def parse_config(data: dict) -> ScenarioConfig:
         scale = block.get("scale", 1.0)
         if isinstance(scale, bool) or not isinstance(scale, (int, float)):
             raise SchemaError("config.left_inverse.scale: expected a number")
+        transfer = block.get("transfer")
+        if transfer is not None:
+            try:
+                transfer = TransferMatrix.from_json_dict(transfer)
+            except (ValueError, KeyError, TypeError) as exc:
+                raise SchemaError(f"config.left_inverse.transfer: {exc}") from exc
         left = LeftInverseChoice(kind=kind, seed=seed, scale=float(scale),
-                                 transfer=block.get("transfer"))
+                                 transfer=transfer)
 
     seed = data.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int):
@@ -246,9 +251,7 @@ def parse_config(data: dict) -> ScenarioConfig:
             if value is None and key == "frame":
                 tolerances[key] = None
                 continue
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise SchemaError(f"config.tolerances.{key}: expected a number")
-            tolerances[key] = float(value)
+            tolerances[key] = parse_tolerance(value, f"config.tolerances.{key}")
 
     return ScenarioConfig(name=name, model=model, probes=probes, system=system,
                           finite_index_strides=finite_index, left_inverse=left,

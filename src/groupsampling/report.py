@@ -1,71 +1,15 @@
-"""Deterministic JSON emission for run reports.
+"""Run reports as JSON, through the standard library encoder.
 
-The standard library encoder renders floats via repr, which is
-shortest-roundtrip rather than fixed-width; reports here must be byte
-identical across runs and platforms, so numbers are formatted with 17
-significant digits by a small recursive writer.
+Floats are written as ``repr``: the shortest string that reads back to the
+same double.  A report therefore parses back to exactly the values computed,
+and a fixed config and seed give the same bytes on every run and platform.
+NaN and infinity have no JSON form and raise ``ValueError``.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Any
-
-
-def format_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
-        raise ValueError(f"cannot serialize non-finite value {x}")
-    if x == int(x) and abs(x) < 1e16:
-        return f"{x:.1f}"
-    return format(x, ".17g")
-
-
-def _escape(s: str) -> str:
-    out = []
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    return "".join(out)
-
-
-def render_json(obj: Any, indent: int = 0) -> str:
-    pad = "  " * indent
-    child_pad = "  " * (indent + 1)
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return format_float(obj)
-    if isinstance(obj, str):
-        return f'"{_escape(obj)}"'
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [render_json(v, indent + 1) for v in obj]
-        if all("\n" not in it and len(it) < 20 for it in items) and len(items) <= 16:
-            return "[" + ", ".join(items) + "]"
-        body = ",\n".join(child_pad + it for it in items)
-        return "[\n" + body + "\n" + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        parts = []
-        for key, value in obj.items():
-            if not isinstance(key, str):
-                raise TypeError(f"report keys must be strings, got {type(key)}")
-            parts.append(f'{child_pad}"{_escape(key)}": {render_json(value, indent + 1)}')
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
-    raise TypeError(f"cannot serialize {type(obj)} into a report")
+import json
 
 
 def render_report(report: dict) -> str:
-    return render_json(report) + "\n"
+    return json.dumps(report, indent=2, allow_nan=False) + "\n"
