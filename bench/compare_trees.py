@@ -19,7 +19,9 @@ outputs and prints them, encoded bit for bit, as one JSON object:
   seed, and ``verify``, ``analyze`` and ``roundtrip`` on the finite-index
   scenario on Z48 it generates (its own ``CliVerify.setup``, imported from
   ``perfbench/``), and of the usage errors that must exit 2: bad tolerances on
-  the command line and in a config, and a malformed ``left_inverse.transfer``.
+  the command line and in a config, a malformed ``left_inverse.transfer``, and
+  numbers no double holds: ``1e400`` and ``NaN`` in a probe, and ``10**400`` as
+  ``tolerances.residual`` and as ``left_inverse.scale``.
   A report on stdout is compared as the JSON it parses to, with every float as
   its exact hex and every object as its ordered key/value pairs, so that two
   layouts of the same values compare equal; any other stdout is compared as
@@ -52,6 +54,7 @@ ROUNDTRIP_OPTIONS = ((), ("--left-inverse", "family"), ("--left-inverse", "squar
                      ("--tol", "1e-3"))
 BAD_TOLERANCES = ("-1", "nan", "inf")
 BAD_TRANSFERS = ({"moduli": [4]}, 5)  # a dump without its values, and not an object
+UNREPRESENTABLE = "1e400"  # a JSON number that parses to inf, written into the file as is
 GENERATED_SEEDS = range(3)
 GENERATED = "generated_finite_index.json"  # the file ``CliVerify.setup`` writes
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -174,8 +177,15 @@ def _cli_outputs(out: dict, scenarios: Path) -> None:
         for k, transfer in enumerate(BAD_TRANSFERS):
             bad[f"transfer_{k}"] = {**identity, "left_inverse": {"kind": "family",
                                                                  "transfer": transfer}}
+        probe = identity["probes"][0]
+        for name, value in (("1e400", UNREPRESENTABLE), ("nan", float("nan"))):
+            bad[f"probe_re_{name}"] = {**identity, "probes": [
+                {**probe, "re": [value, *probe["re"][1:]]}, *identity["probes"][1:]]}
+        bad["residual_huge_int"] = {**identity, "tolerances": {"residual": 10 ** 400}}
+        bad["scale_huge_int"] = {**identity, "left_inverse": {"kind": "family", "scale": 10 ** 400}}
         for name, payload in bad.items():
-            Path(f"{name}.json").write_text(json.dumps(payload), encoding="utf-8")
+            text = json.dumps(payload).replace(json.dumps(UNREPRESENTABLE), UNREPRESENTABLE)
+            Path(f"{name}.json").write_text(text, encoding="utf-8")
             for command in ("analyze", "roundtrip"):
                 out[f"{command} {name}.json"] = run([command, f"{name}.json"])
         for seed in GENERATED_SEEDS:

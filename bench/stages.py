@@ -16,7 +16,9 @@ and ``left_inverse_family`` (6x4 systems) and ``square_inverse`` (4x4) on
 the same tori and on order 4096, the size of the benchmark's
 ``stability_scan``; ``coefficients_of`` and
 ``semidirect_sample_and_reconstruct`` on the C4 reduction of Z24 x Z24 and
-Z48 x Z48 with strides (3, 3), as in the benchmark's ``semidirect_c4``;
+Z48 x Z48 with strides (3, 3), as in the benchmark's ``semidirect_c4``
+(``coefficients_of`` cold, on a new reduction each call, so that the fibers
+kept on a model are not timed as a faster solve, and warm, on a kept model);
 ``make_procedure`` with each kind of left inverse (6x4 Moore-Penrose and
 family, 4x4 square) on orders 1024 and 4096; the foundation checks of
 ``verify`` (``cli._foundation_checks``: 100 draws, 25 exact convolutions) on
@@ -123,7 +125,10 @@ def stages() -> dict:
         proc.sampling_functions  # built once, outside the timing
         habs = reduced.subgroup.abstract_group
         f = gs.synthesize(reduced, gs.VectorSequence(habs, draw((4, habs.order))))
-        out[f"coefficients_of_c4/{torus.order}"] = _timed(lambda: gs.coefficients_of(reduced, f))
+        out[f"coefficients_of_c4/{torus.order}"] = _timed(
+            lambda: gs.coefficients_of(gs.semidirect_reduce(sd).model, f))
+        out[f"coefficients_of_c4_warm/{torus.order}"] = _timed(
+            lambda: gs.coefficients_of(reduced, f))
         out[f"semidirect_reconstruct_c4/{torus.order}"] = _timed(
             lambda: gs.semidirect_sample_and_reconstruct(sd, proc, f))
 

@@ -8,7 +8,7 @@ exit code 2 instead of silently changing a run.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,23 +53,35 @@ def _int_list(value, where: str) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _finite(value, where: str, expected: str = "finite numbers", least: float = -math.inf) -> float:
+    """A JSON number as a finite float >= ``least``: no bool, NaN, inf or int beyond the doubles."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        with suppress(OverflowError):
+            if math.isfinite(number := float(value)) and number >= least:
+                return number
+    raise SchemaError(f"{where}: expected {expected}, got {value!r}")
+
+
 def _float_list(value, where: str) -> list[float]:
     if not isinstance(value, list):
         raise SchemaError(f"{where}: expected a list of numbers")
-    out = []
-    for v in value:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise SchemaError(f"{where}: expected numbers, got {v!r}")
-        out.append(float(v))
-    return out
+    return [_finite(v, where) for v in value]
+
+
+def _finite_values(data, where: str):
+    """A system or transfer payload with each number in its value lists through :func:`_finite`."""
+    if isinstance(data, dict):
+        return {k: _finite_values(v, where) if k in ("entries", "re", "im") else v
+                for k, v in data.items()}
+    if isinstance(data, list):
+        return [_finite_values(v, where) if isinstance(v, (dict, list)) else _finite(v, where)
+                for v in data]
+    return data
 
 
 def parse_tolerance(value, where: str) -> float:
     """A tolerance is a finite number >= 0; anything else is a configuration error."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if not (number and math.isfinite(value) and value >= 0):
-        raise SchemaError(f"{where}: expected a finite number >= 0, got {value!r}")
-    return float(value)
+    return _finite(value, where, "a finite number >= 0", least=0.0)
 
 
 def parse_sequence(data: dict, group: GroupSpec, where: str) -> GroupSequence:
@@ -197,12 +209,12 @@ def parse_config(data: dict) -> ScenarioConfig:
         probes = [parse_sequence(p, ambient, f"config.probes[{i}]")
                   for i, p in enumerate(raw)]
     else:
-        raw = data["system"]
+        raw = _finite_values(data["system"], "config.system")
         _require_keys(raw, {"moduli", "rows", "cols", "entries"},
                       {"moduli", "rows", "cols", "entries"}, "config.system")
         try:
             system = SequenceMatrix.from_json_dict(raw)
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise SchemaError(f"config.system: {exc}") from exc
 
     finite_index = None
@@ -227,16 +239,14 @@ def parse_config(data: dict) -> ScenarioConfig:
         seed = block.get("seed")
         if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
             raise SchemaError("config.left_inverse.seed: expected an integer")
-        scale = block.get("scale", 1.0)
-        if isinstance(scale, bool) or not isinstance(scale, (int, float)):
-            raise SchemaError("config.left_inverse.scale: expected a number")
-        transfer = block.get("transfer")
+        scale = _finite(block.get("scale", 1.0), "config.left_inverse.scale", "a finite number")
+        transfer = _finite_values(block.get("transfer"), "config.left_inverse.transfer")
         if transfer is not None:
             try:
                 transfer = TransferMatrix.from_json_dict(transfer)
-            except (ValueError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError, OverflowError) as exc:
                 raise SchemaError(f"config.left_inverse.transfer: {exc}") from exc
-        left = LeftInverseChoice(kind=kind, seed=seed, scale=float(scale),
+        left = LeftInverseChoice(kind=kind, seed=seed, scale=scale,
                                  transfer=transfer)
 
     seed = data.get("seed", 0)

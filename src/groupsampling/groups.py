@@ -579,6 +579,13 @@ class ProductSubgroup:
         """
         return ProductSubgroup(self.parent, self.abstract_group.moduli).coset_indices
 
+    @cached_property
+    def restriction_indices(self) -> np.ndarray:
+        """Abstract character each parent character restricts to: the inverse of alias_indices."""
+        idx = self.abstract_group.ravel(self.parent.coords_array)
+        idx.setflags(write=False)
+        return idx
+
     def refine(self, inner_strides: Sequence[int]) -> ProductSubgroup:
         """Subgroup of the parent whose abstract form is cut by further strides."""
         inner = ProductSubgroup(self.abstract_group, inner_strides).strides

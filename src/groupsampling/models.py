@@ -125,6 +125,14 @@ class TranslationModel:
         return np.stack([gen.values for gen in self.generators])[:, diff.T]
 
     @cached_property
+    def fibers(self) -> tuple[np.ndarray, ...]:
+        """The read-only alias matrices, fiber Grams and eigenvalues of :func:`_fiber_gram`."""
+        arrays = _fiber_gram(self)
+        for a in arrays:
+            a.setflags(write=False)
+        return arrays
+
+    @cached_property
     def window_spectrum(self) -> np.ndarray:
         """|phi^(xi)|^2 per character: the eigenvalues of the window frame operator."""
         return np.abs(self.ambient.fft(self.phi.values)) ** 2
@@ -228,26 +236,32 @@ def _fiber_gram(model: TranslationModel) -> tuple[np.ndarray, ...]:
     return t, gram, np.linalg.eigvalsh(gram)
 
 
-def coefficients_of(model: TranslationModel, f: GroupSequence) -> VectorSequence:
-    """Expansion coefficients of a member of the generated subspace.
-
-    Solves the Gram system of the generator translates one fiber at a time; needs
-    a Riesz sequence, whose bounds are the extreme fiber eigenvalues.  For f
-    outside the subspace this returns the coefficients of its orthogonal projection.
-    """
+def _coefficient_spectra(model: TranslationModel, f: GroupSequence) -> np.ndarray:
+    """(|H|, N) transforms over H of the expansion coefficients: one fiber solve per character."""
     if f.group != model.ambient:
         raise GroupMismatchError("input is not on the ambient group")
-    t, gram, eigs = _fiber_gram(model)
+    t, gram, eigs = model.fibers
     lo, hi = float(eigs[:, 0].min()), float(eigs[:, -1].max())
-    habs = model.subgroup.abstract_group
     if _rank_deficient(lo, hi):
         raise FrameConditionError(
             f"generator translates are not a Riesz sequence "
-            f"(Gram eigenvalues span [{lo:.3e}, {hi:.3e}])",
-            delta=lo, xi=habs.element_at(np.argmin(eigs[:, 0])).coords)
+            f"(Gram eigenvalues span [{lo:.3e}, {hi:.3e}])", delta=lo,
+            xi=model.subgroup.abstract_group.element_at(np.argmin(eigs[:, 0])).coords)
     fhat = model.ambient.fft(f.values)[model.subgroup.alias_indices, None]  # (k, alias, 1)
     rhs = np.matmul(np.conj(t.transpose(0, 2, 1)), fhat) / model.subgroup.index
-    return VectorSequence(habs, habs.ifft(np.linalg.solve(gram, rhs)[:, :, 0].T))
+    return np.linalg.solve(gram, rhs)[:, :, 0]
+
+
+def coefficients_of(model: TranslationModel, f: GroupSequence) -> VectorSequence:
+    """Expansion coefficients of a member of the generated subspace.
+
+    Inverse-transforms :func:`_coefficient_spectra`, which solves the fibers kept on the
+    model and tests on every call that the generator translates are a Riesz sequence,
+    whose bounds are the extreme fiber eigenvalues.  For f outside the subspace this
+    returns the coefficients of its orthogonal projection.
+    """
+    habs = model.subgroup.abstract_group
+    return VectorSequence(habs, habs.ifft(_coefficient_spectra(model, f).T))
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,13 @@
 A sampling procedure couples a translation scenario with a stable convolution
 system over the sampling subgroup.  Samples are the system applied to
 expansion coefficients; reconstruction convolves them with a left inverse and
-resynthesizes, or equivalently sums translated sampling functions.
+resynthesizes, or equivalently sums translated sampling functions, whose sum
+gathers the samples' spectra over H at the restriction of each character of G.
 
 Also covers the single-generator (Shannon-type) special case, regrouping over
 a finite-index subgroup of the sampling group, the square-system
-interpolation property, and the rotation-twisted scenario on a torus.
+interpolation property, and the rotation-twisted scenario on a torus, which
+never leaves the transfer domain: its samples are A^(k) c^(k) per character k.
 """
 
 from __future__ import annotations
@@ -21,12 +23,10 @@ from .duals import (LeftInverse, left_inverse_family, moore_penrose, square_inve
                     verify_left_inverse)
 from .errors import DimensionMismatchError, FrameConditionError, GroupMismatchError
 from .frames import LEFT_INVERSE_RESIDUAL_TOL, FrameDiagnostics, diagnostics, require_frame
-from .groups import (GroupElement, GroupSequence, ProductSubgroup, convolve_fft,
-                     coset_representatives, involution)
-from .models import (FunctionOnG, SemidirectModel, TranslationModel,
-                     analysis_transform, coefficients_of, rotate_sequence,
-                     sample_matrix, synthesize)
-from .systems import SequenceMatrix, TransferMatrix, VectorSequence, apply
+from .groups import GroupElement, GroupSequence, ProductSubgroup, coset_representatives
+from .models import (FunctionOnG, SemidirectModel, TranslationModel, _coefficient_spectra,
+                     analysis_transform, rotate_sequence, sample_matrix, synthesize)
+from .systems import SequenceMatrix, TransferMatrix, VectorSequence, apply, transfer
 
 SampleSet = VectorSequence
 
@@ -142,18 +142,16 @@ def build_sampling_functions(proc: SamplingProcedure) -> SamplingFunctions:
                              coefficient_frame_bounds=bounds)
 
 
-def _sum_translates(proc: SamplingProcedure, samples: SampleSet,
-                    kernels: np.ndarray) -> np.ndarray:
-    """The sampling formula sum_m sum_h s_m(h) T_{embed(h)} K_m as one convolution.
+def _sum_translates(proc: SamplingProcedure, sample_spectra: np.ndarray,
+                    kernel_spectra: np.ndarray) -> np.ndarray:
+    """The sampling formula sum_m sum_h s_m(h) T_{embed(h)} K_m as one inverse transform.
 
-    The samples are placed on the embedded lattice; their spectra multiply
-    those of the kernels K_m, stacked on the second-to-last axis of
-    ``kernels`` (leading axes are a batch), and are summed over channels.
+    Samples placed on the lattice have at each character of G their transform over H at its
+    restriction, so the (M, |H|) ``sample_spectra`` are gathered by restriction, multiply the
+    (..., M, |G|) ``kernel_spectra`` (leading axes are a batch) and are summed over M.
     """
-    g = proc.model.ambient
-    upsampled = np.zeros((proc.n_channels, g.order), dtype=np.complex128)
-    upsampled[:, proc.model.subgroup.embedding_indices] = samples.values
-    return g.ifft((g.fft(kernels) * g.fft(upsampled)).sum(axis=-2))
+    spread = sample_spectra[:, proc.model.subgroup.restriction_indices]
+    return proc.model.ambient.ifft((kernel_spectra * spread).sum(axis=-2))
 
 
 def reconstruct_function(proc: SamplingProcedure, samples: SampleSet) -> FunctionOnG:
@@ -161,8 +159,9 @@ def reconstruct_function(proc: SamplingProcedure, samples: SampleSet) -> Functio
     if samples.n_components != proc.n_channels:
         raise DimensionMismatchError(
             f"expected {proc.n_channels} sample channels, got {samples.n_components}")
-    kernels = np.stack([s.flat() for s in proc.sampling_functions.functions])
-    return FunctionOnG(proc.model.ambient, _sum_translates(proc, samples, kernels))
+    g = proc.model.ambient
+    kernels = g.fft(np.stack([s.flat() for s in proc.sampling_functions.functions]))
+    return FunctionOnG(g, _sum_translates(proc, samples.group.fft(samples.values), kernels))
 
 
 def shannon_procedure(model: TranslationModel, tol: float | None = None) -> SamplingProcedure:
@@ -314,10 +313,12 @@ def semidirect_sample_and_reconstruct(model: SemidirectModel,
     if proc.model.n_generators != model.n_rotations:
         raise DimensionMismatchError(
             "procedure generators do not match the rotation group")
-    samples = take_samples(proc, coefficients_of(proc.model, f))
+    # samples: s^(k) = A^(k) c^(k) at each character k of H
+    c_hat = _coefficient_spectra(proc.model, f)
+    s_hat = np.matmul(transfer(proc.system).matrices, c_hat[:, :, None])[:, :, 0].T
     # kernel (i, m) is beta_m correlated with the window rotated into sector i
-    windows = SequenceMatrix(model.torus,
-                             [[involution(rotate_sequence(model, i, model.phi)).values]
-                              for i in range(model.n_rotations)])
-    kernels = convolve_fft(windows, VectorSequence.from_components(proc.sampling_functions.betas))
-    return FunctionOnG(model.torus, _sum_translates(proc, samples, kernels.values))
+    g = model.torus
+    windows = g.fft(np.stack([rotate_sequence(model, i, model.phi).values
+                              for i in range(model.n_rotations)]))
+    betas = g.fft(np.stack([b.values for b in proc.sampling_functions.betas]))
+    return FunctionOnG(g, _sum_translates(proc, s_hat, np.conj(windows)[:, None] * betas))
