@@ -21,7 +21,12 @@ outputs and prints them, encoded bit for bit, as one JSON object:
   ``perfbench/``), and of the usage errors that must exit 2: bad tolerances on
   the command line and in a config, a malformed ``left_inverse.transfer``, and
   numbers no double holds: ``1e400`` and ``NaN`` in a probe, and ``10**400`` as
-  ``tolerances.residual`` and as ``left_inverse.scale``.
+  ``tolerances.residual`` and as ``left_inverse.scale``, and negative seeds:
+  ``roundtrip identity.json --seed -5``, ``verify --all --seed -1``, and
+  ``"seed": -5`` and a ``left_inverse`` ``"seed": -3`` in a config.  Against a
+  tree from before negative seeds were rejected, these six runs differ: there
+  ``analyze`` accepts both configs, and ``roundtrip`` and ``verify`` end in
+  numpy's ``ValueError: expected non-negative integer``.
   A report on stdout is compared as the JSON it parses to, with every float as
   its exact hex and every object as its ordered key/value pairs, so that two
   layouts of the same values compare equal; any other stdout is compared as
@@ -168,6 +173,9 @@ def _cli_outputs(out: dict, scenarios: Path) -> None:
     for tol in BAD_TOLERANCES:
         argv = ["analyze", "identity.json", f"--tol={tol}"]
         out[" ".join(argv)] = run(argv)
+    for argv in (["roundtrip", "identity.json", "--seed", "-5"],
+                 ["verify", "--all", "--seed", "-1"]):
+        out[" ".join(argv)] = run(argv)
     identity = json.loads((scenarios / "identity.json").read_text(encoding="utf-8"))
     from workloads import CliVerify
 
@@ -183,6 +191,8 @@ def _cli_outputs(out: dict, scenarios: Path) -> None:
                 {**probe, "re": [value, *probe["re"][1:]]}, *identity["probes"][1:]]}
         bad["residual_huge_int"] = {**identity, "tolerances": {"residual": 10 ** 400}}
         bad["scale_huge_int"] = {**identity, "left_inverse": {"kind": "family", "scale": 10 ** 400}}
+        bad["seed_-5"] = {**identity, "seed": -5}
+        bad["left_inverse_seed_-3"] = {**identity, "left_inverse": {"kind": "family", "seed": -3}}
         for name, payload in bad.items():
             text = json.dumps(payload).replace(json.dumps(UNREPRESENTABLE), UNREPRESENTABLE)
             Path(f"{name}.json").write_text(text, encoding="utf-8")

@@ -21,9 +21,10 @@ Z48 x Z48 with strides (3, 3), as in the benchmark's ``semidirect_c4``
 kept on a model are not timed as a faster solve, and warm, on a kept model);
 ``make_procedure`` with each kind of left inverse (6x4 Moore-Penrose and
 family, 4x4 square) on orders 1024 and 4096; the foundation checks of
-``verify`` (``cli._foundation_checks``: 100 draws, 25 exact convolutions) on
-Z4, Z48, Z12 x Z12 and Z32 x Z32; and ``verify --all`` end to end.  Each is
-repeated ``REPEATS`` times after one untimed call; reports the minimum and
+``verify`` (``cli._foundation_checks``: 100 draws, 25 pairs convolved
+exactly) on Z4, Z48, Z12 x Z12 and Z32 x Z32; ``load_config`` (file read
+and parse) of each bundled scenario; and ``verify --all`` end to end.  Each
+is repeated ``REPEATS`` times after one untimed call; reports the minimum and
 the median.  Fifteen repeats, because the minimum of five did
 not resolve changes below about 1.6x on a shared two-core machine.  A
 verdict or procedure is timed on a new system object each call, so that its
@@ -168,6 +169,9 @@ def stages() -> dict:
         g = gs.GroupSpec(moduli)
         out[f"foundation_checks/{g.order}"] = _timed(
             lambda: cli._foundation_checks(g, cli._rng(0), 1e-10))
+
+    for path in cli.bundled_scenario_paths():
+        out[f"load_config/{Path(path).stem}"] = _timed(lambda: cli.load_config(path))
 
     def verify_all():
         with contextlib.redirect_stdout(io.StringIO()):

@@ -18,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import LeftInverseChoice, ScenarioConfig, parse_config, parse_tolerance
+from .config import (LeftInverseChoice, ScenarioConfig, parse_config, parse_seed,
+                     parse_tolerance)
 from .duals import LeftInverse, verify_left_inverse
 from .errors import (DimensionMismatchError, FrameConditionError, SchemaError,
                      SingularCharacterError)
@@ -242,8 +243,7 @@ def _foundation_checks(group: GroupSpec, rng: np.random.Generator,
     pairs = rng.standard_normal((draws // 4, 2, 2, order))
     pairs = pairs[:, :, 0] + 1j * pairs[:, :, 1]  # (pair, a or x, order)
     a, x = VectorSequence(group, pairs[:, 0]), VectorSequence(group, pairs[:, 1])
-    lhs = dft(VectorSequence.from_components([convolve(a.component(k), x.component(k))
-                                              for k in range(draws // 4)])).values
+    lhs = dft(convolve(a, x)).values
     rhs = dft(a).values * dft(x).values
     worst_conv = float((np.abs(lhs - rhs).max(axis=1)
                         / np.maximum(1.0, np.abs(rhs).max(axis=1))).max())
@@ -345,6 +345,11 @@ def tolerance(text: str) -> float:
     return parse_tolerance(float(text), "--tol")
 
 
+def seed(text: str) -> int:
+    """``--seed``: a config's seed rule; argparse turns its ValueError into exit 2."""
+    return parse_seed(int(text), "--seed")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="groupsampling",
@@ -366,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     roundtrip = sub.add_parser("roundtrip", parents=[output, frame],
                                help="Sample, reconstruct and report residuals.")
     roundtrip.add_argument("config", help="Scenario JSON file.")
-    roundtrip.add_argument("--seed", type=int, default=None,
+    roundtrip.add_argument("--seed", type=seed, default=None,
                            help="Seed for the coefficient draw (defaults to the "
                                 "config seed).")
     roundtrip.add_argument("--left-inverse", dest="left_inverse", default=None,
@@ -378,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("configs", nargs="*", help="Scenario JSON files.")
     verify.add_argument("--all", action="store_true",
                         help="Verify every bundled scenario.")
-    verify.add_argument("--seed", type=int, default=0)
+    verify.add_argument("--seed", type=seed, default=0)
     verify.add_argument("--inject-fault", dest="inject_fault", action="store_true",
                         help="Deliberately perturb the left inverse; the suite "
                              "must then fail.")

@@ -8,7 +8,7 @@ exit code 2 instead of silently changing a run.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,9 +56,12 @@ def _int_list(value, where: str) -> tuple[int, ...]:
 def _finite(value, where: str, expected: str = "finite numbers", least: float = -math.inf) -> float:
     """A JSON number as a finite float >= ``least``: no bool, NaN, inf or int beyond the doubles."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        with suppress(OverflowError):
-            if math.isfinite(number := float(value)) and number >= least:
-                return number
+        try:
+            number = float(value)
+        except OverflowError:  # an int beyond the doubles
+            number = math.inf
+        if math.isfinite(number) and number >= least:
+            return number
     raise SchemaError(f"{where}: expected {expected}, got {value!r}")
 
 
@@ -77,6 +80,13 @@ def _finite_values(data, where: str):
         return [_finite_values(v, where) if isinstance(v, (dict, list)) else _finite(v, where)
                 for v in data]
     return data
+
+
+def parse_seed(value, where: str) -> int:
+    """A seed is an integer >= 0, as PCG64 needs; anything else is a configuration error."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise SchemaError(f"{where}: expected an integer >= 0, got {value!r}")
+    return value
 
 
 def parse_tolerance(value, where: str) -> float:
@@ -237,8 +247,8 @@ def parse_config(data: dict) -> ScenarioConfig:
             raise SchemaError(f"config.left_inverse.kind: expected one of "
                               f"{_LEFT_INVERSE_KINDS}, got {kind!r}")
         seed = block.get("seed")
-        if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
-            raise SchemaError("config.left_inverse.seed: expected an integer")
+        if seed is not None:
+            seed = parse_seed(seed, "config.left_inverse.seed")
         scale = _finite(block.get("scale", 1.0), "config.left_inverse.scale", "a finite number")
         transfer = _finite_values(block.get("transfer"), "config.left_inverse.transfer")
         if transfer is not None:
@@ -249,9 +259,7 @@ def parse_config(data: dict) -> ScenarioConfig:
         left = LeftInverseChoice(kind=kind, seed=seed, scale=scale,
                                  transfer=transfer)
 
-    seed = data.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise SchemaError("config.seed: expected an integer")
+    seed = parse_seed(data.get("seed", 0), "config.seed")
 
     tolerances = {}
     if "tolerances" in data:

@@ -29,8 +29,8 @@ change a correctly rounded sum, skipping those with an exact-zero factor,
 and only the output points asked for (``convolve(a, x, at=indices)``, which
 ``sample_matrix`` uses to evaluate the lattice points alone).
 :func:`convolve_fft` is the
-fast path; it, :func:`dft`, :func:`idft`, :func:`involution` and
-:func:`exact_norm_sq` work on stacks of sequences, the transforms through
+fast path; it, :func:`convolve`, :func:`dft`, :func:`idft`, :func:`involution`
+and :func:`exact_norm_sq` work on stacks of sequences, the transforms through
 ``GroupSpec.fft`` and ``GroupSpec.ifft``.
 """
 
@@ -44,7 +44,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import GroupMismatchError
+from .errors import DimensionMismatchError, GroupMismatchError
 
 # Full difference tables are cached only up to this order; larger groups
 # compute blocks of them on the fly from the per-factor tables.
@@ -161,13 +161,14 @@ def _exact_convolve(a_values: np.ndarray, x_values: np.ndarray, group: GroupSpec
 
     out[m, i] = sum over (n, h') of a[m, n, h - h'] * x[n, h'] at h = points[i]
     (every point by default) for an (M, N, order) ``a_values`` and an
-    (N, order) ``x_values``.  Each output point is one correctly rounded sum,
+    (N, order) ``x_values``, or with x[m, n, h'] for an (M, N, order) one, an
+    operand per output row.  Each output point is one correctly rounded sum,
     so any regrouping of the same index set (for instance the coset
     regrouping used for finite-index sampling) produces bitwise identical
-    values.  Columns h' where every component of x is an exact zero are
-    skipped when every entry of a is finite: their products are exact zeros,
-    which no correctly rounded sum sees (``math.fsum`` drops zeros of either
-    sign), while a non-finite a must still meet them, as inf * 0 is NaN.
+    values.  Columns h' where every component of every row of x is an exact
+    zero are skipped when every entry of a is finite: their products are exact
+    zeros, which no correctly rounded sum sees (``math.fsum`` drops zeros of
+    either sign), while a non-finite a must still meet them, as inf * 0 is NaN.
     Blocks of output points are summed together by :func:`exact_sums`, with
     one bound on every product of the call: the product of the largest real
     or imaginary magnitudes of the two operands (NaN or inf when either has a
@@ -181,21 +182,21 @@ def _exact_convolve(a_values: np.ndarray, x_values: np.ndarray, group: GroupSpec
                                        np.abs(v.imag).max(initial=0.0)))
                       for v in (a_values, x_values))
     cols = slice(None)
-    nonzero = x_values.any(axis=0)
+    nonzero = x_values.reshape(-1, order).any(axis=0)
     if not nonzero.all() and np.isfinite(a_values).all():
         cols = np.flatnonzero(nonzero)
-        x_values = x_values[:, cols]
+        x_values = x_values[..., cols]
     # (M * N, order): np.take along the last axis gathers about twice as fast as indexing
     a_parts = [np.ascontiguousarray(v).reshape(-1, order)
                for v in (a_values.real, a_values.imag)]
     # x * -xi is -(x * xi) bitwise: rounding to nearest is symmetric in sign
     xr, xi, neg_xi = (np.ascontiguousarray(p) for p in
                       (x_values.real, x_values.imag, -x_values.imag))
-    row_terms = 2 * x_values.size
+    row_terms = 2 * n_cols * x_values.shape[-1]
     block = max(1, min(n_points, _BLOCK_TERMS // max(1, 2 * m_rows * row_terms)))
     # terms[p, m, (re, im), part, n, h']: each (p, m, re/im) row is one sum,
     # and h' runs fastest, so the products stream over long contiguous rows
-    terms = np.empty((block, m_rows, 2, 2, *x_values.shape))
+    terms = np.empty((block, m_rows, 2, 2, n_cols, x_values.shape[-1]))
     out = np.empty((m_rows, n_points), dtype=np.complex128)
     for start in range(0, n_points, block):
         stop = min(start + block, n_points)
@@ -485,15 +486,18 @@ def idft(x):
     return type(x)(x.group, x.group.ifft(x.values))
 
 
-def convolve(a: GroupSequence, x: GroupSequence, *,
-             at: np.ndarray | None = None) -> GroupSequence | np.ndarray:
+def convolve(a, x, *, at: np.ndarray | None = None):
     """(a * x)(h) = sum_{h'} a(h - h') x(h'), by exactly rounded brute force.
 
-    With ``at``, an array of point indices, returns only the values at those
-    points, as an array; otherwise the whole convolution as a sequence.
+    Takes two sequences, or two stacks of equal shape (VectorSequence), whose
+    row k is bitwise the convolution of row k of a with row k of x.  With ``at``, an array of point indices, returns only the
+    values at those points, as an array; otherwise the whole convolution,
+    with a's type.
     """
     _same_group(a.group, x.group, "cannot convolve sequences on different groups")
     av, xv = a.values, x.values
+    if av.shape != xv.shape:
+        raise DimensionMismatchError(f"cannot convolve shapes {av.shape} and {xv.shape}")
     # a(h - h') x(h') and x(h - h') a(h') are the same doubles and the sum is
     # order-independent, so the kernel may skip the zeros of either operand:
     # the sparser one goes second.  Only finite operands swap, so that a NaN
@@ -501,8 +505,11 @@ def convolve(a: GroupSequence, x: GroupSequence, *,
     if (np.count_nonzero(av) < np.count_nonzero(xv)
             and np.isfinite(av).all() and np.isfinite(xv).all()):
         av, xv = xv, av
-    out = _exact_convolve(av[None, None, :], xv[None, :], a.group, at)[0]
-    return out if at is not None else GroupSequence(a.group, out)
+    order = a.group.order
+    out = _exact_convolve(av.reshape(-1, 1, order),
+                          xv.reshape(-1, 1, order) if xv.ndim > 1 else xv[None, :],
+                          a.group, at).reshape(*av.shape[:-1], -1)
+    return out if at is not None else type(a)(a.group, out)
 
 
 def convolve_fft(a, x):

@@ -116,3 +116,24 @@ def test_config_holds_the_parsed_transfer():
     assert isinstance(choice.transfer, TransferMatrix)
     assert choice.transfer.to_json_dict() == TransferMatrix.from_json_dict(transfer).to_json_dict()
     assert choice.parameter_for(None) is choice.transfer
+
+
+@pytest.mark.parametrize("argv", [["roundtrip", SCENARIOS["identity"], "--seed", "-5"],
+                                  ["verify", "--all", "--seed", "-1"]])
+def test_negative_seed_option_exits_two(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert f"argument --seed: invalid seed value: '{argv[-1]}'" in err
+
+
+@pytest.mark.parametrize("changes, key", [
+    ({"seed": -5}, "config.seed"),
+    ({"left_inverse": {"kind": "family", "seed": -3}}, "config.left_inverse.seed"),
+])
+@pytest.mark.parametrize("command", ["analyze", "roundtrip"])
+def test_negative_config_seed_exits_two(command, changes, key, tmp_path, capsys):
+    path = _config_with(tmp_path, **changes)
+    code, out, err = run_cli([command, path], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {key}: expected an integer >= 0, got -")
+    assert err.count("\n") == 1

@@ -5,13 +5,16 @@ evaluated on stacks: one draw at a time, through ``dft``, ``idft``,
 ``norm_sq``, ``involution`` and ``convolve`` on single sequences.  Both read
 the same generator; their check values and the generator state afterwards
 must agree exactly, so that the later draws of ``verify`` are unchanged too.
+The stacked transforms, norms and exact ``convolve`` are checked against
+their single-sequence calls, row by row.
 """
 
 import numpy as np
 import pytest
 
-from groupsampling import GroupSequence, GroupSpec, SequenceMatrix, VectorSequence
+from groupsampling import GroupSequence, GroupSpec, SequenceMatrix, VectorSequence, cli, groups
 from groupsampling.cli import _foundation_checks, _rng
+from groupsampling.errors import DimensionMismatchError
 from groupsampling.groups import convolve, dft, exact_norm_sq, idft, involution
 
 MODULI = [(2,), (4,), (8,), (12, 12), (6, 4, 2), (48,)]
@@ -103,3 +106,103 @@ def test_stacked_norms_equal_single_calls(moduli):
             assert single == GroupSequence(group, stack[index]).norm_sq()
     vectors = VectorSequence(group, stack[0])
     assert vectors.norm_sq() == exact_norm_sq(stack[0].ravel())
+
+
+def single_outcome(call):
+    """The bytes of a call's values, or the type and message of what it raised."""
+    try:
+        return call().values.tobytes()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def assert_rows_are_single_calls(a, x):
+    """convolve of two stacks is, row by row, the single call's bits or exception."""
+    singles = [single_outcome(lambda: convolve(a.component(k), x.component(k)))
+               for k in range(a.n_components)]
+    raised = [s for s in singles if isinstance(s, tuple)]
+    if raised:
+        with pytest.raises(raised[0][0]) as info:
+            convolve(a, x)
+        assert str(info.value) in [message for _, message in raised]
+        return
+    got = convolve(a, x)
+    assert type(got) is VectorSequence and got.group == a.group
+    assert [got.values[k].tobytes() for k in range(a.n_components)] == singles
+
+
+@pytest.mark.parametrize("moduli", MODULI, ids=str)
+def test_stacked_convolve_equals_single_calls(moduli):
+    group = GroupSpec(moduli)
+    rng = np.random.default_rng(7)
+    a, x = (VectorSequence(group, draw_stack(rng, (7, group.order))) for _ in range(2))
+    assert_rows_are_single_calls(a, x)
+
+
+@pytest.mark.parametrize("moduli", MODULI, ids=str)
+def test_stacked_convolve_with_zeros_in_different_columns(moduli):
+    """Each row keeps its own zeros; the kernel skips only the columns zero in every row."""
+    group = GroupSpec(moduli)
+    rng = np.random.default_rng(8)
+    a, x = draw_stack(rng, (5, group.order)), draw_stack(rng, (5, group.order))
+    for k in range(5):
+        x[k, rng.random(group.order) < 0.5] = 0  # a different half in each row
+        a[k, rng.random(group.order) < 0.2] = 0
+    x[:, ::3] = 0  # and columns zero in every row
+    x[2] = 0  # a row with nothing to sum
+    # x is the sparser operand, so the kernel skips its columns in either order
+    for first, second in ((a, x), (x, a)):
+        assert_rows_are_single_calls(VectorSequence(group, first), VectorSequence(group, second))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("values", [[np.inf], [-np.inf], [np.nan], [np.inf, -np.inf]], ids=str)
+@pytest.mark.parametrize("where", ["a", "x"])
+@pytest.mark.parametrize("moduli", [(4,), (12, 12), (48,)], ids=str)
+def test_stacked_convolve_with_a_non_finite_row(moduli, where, values):
+    """Values or exceptions: infinities of both signs in one sum make math.fsum raise."""
+    group = GroupSpec(moduli)
+    rng = np.random.default_rng(9)
+    a, x = draw_stack(rng, (4, group.order)), draw_stack(rng, (4, group.order))
+    a[:, rng.random(group.order) < 0.3] = 0
+    x[:, rng.random(group.order) < 0.3] = 0
+    (a if where == "a" else x)[1, [3, 1][:len(values)]] = values
+    assert_rows_are_single_calls(VectorSequence(group, a), VectorSequence(group, x))
+    zero_imag = VectorSequence(group, a.real + 0j)  # one real component: fewer NaNs meet inf
+    assert_rows_are_single_calls(zero_imag, VectorSequence(group, x))
+
+
+@pytest.mark.parametrize("moduli", MODULI, ids=str)
+def test_stacked_convolve_with_rows_of_different_scales(moduli, monkeypatch):
+    """The bound of a stack covers its largest products, whichever rows hold them:
+    the small rows are not certified by it and take the multilevel path, with
+    the same bits."""
+    group = GroupSpec(moduli)
+    rng = np.random.default_rng(10)
+    a, x = draw_stack(rng, (6, group.order)), draw_stack(rng, (6, group.order))
+    a[::2] *= 1e150
+    x[3] *= 1e200  # the largest products are in a row whose x is not the first
+    multilevel_rows = []
+    multilevel = groups._multilevel_sums
+    monkeypatch.setattr(groups, "_multilevel_sums",
+                        lambda terms: multilevel_rows.append(len(terms)) or multilevel(terms))
+    assert_rows_are_single_calls(VectorSequence(group, a), VectorSequence(group, x))
+    if group.order >= 12:  # blocks large enough for the certified level
+        assert multilevel_rows
+
+
+def test_stacked_convolve_needs_equal_shapes():
+    group = GroupSpec((8,))
+    rng = np.random.default_rng(11)
+    three, four = (VectorSequence(group, draw_stack(rng, (n, group.order))) for n in (3, 4))
+    with pytest.raises(DimensionMismatchError):
+        convolve(three, four)
+    with pytest.raises(DimensionMismatchError):
+        convolve(three.component(0), VectorSequence(group, three.values[:1]))
+
+
+def test_foundation_checks_make_one_convolve_call(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "convolve", lambda a, x: calls.append(a.values.shape) or convolve(a, x))
+    _foundation_checks(GroupSpec((12,)), _rng(0), TOL)
+    assert calls == [(25, 12)]
