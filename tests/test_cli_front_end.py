@@ -4,6 +4,7 @@ import json
 import math
 import struct
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -70,7 +71,7 @@ def test_report_rejects_non_finite(x):
 
 
 def _config_with(tmp_path, **changes):
-    payload = json.loads(open(SCENARIOS["identity"]).read())
+    payload = json.loads(Path(SCENARIOS["identity"]).read_text(encoding="utf-8"))
     payload.update(changes)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))  # json writes NaN as the token NaN
@@ -108,7 +109,7 @@ def test_malformed_transfer_exits_two(transfer, tmp_path, capsys):
 
 
 def test_config_holds_the_parsed_transfer():
-    payload = json.loads(open(SCENARIOS["identity"]).read())
+    payload = json.loads(Path(SCENARIOS["identity"]).read_text(encoding="utf-8"))
     transfer = {"moduli": [4], "rows": 1, "cols": 1,
                 "re": [[[0.5]], [[1.0]], [[1.5]], [[2.0]]], "im": [[[0.0]]] * 4}
     payload["left_inverse"] = {"kind": "family", "transfer": transfer}
