@@ -10,7 +10,10 @@ outputs and prints them, encoded bit for bit, as one JSON object:
   with M, N in 1..3, operands scaled by 1, 1e150, 1e-300 and 5e-324, and 0,
   30, 75, 95 and 100% exact zeros; then the same with inf, -inf and NaN
   entries (the raised exception stands in for a value);
-- ``exact_sums`` on blocks of the shapes the benchmark's workloads sum;
+- ``exact_sums`` on blocks of the shapes the benchmark's workloads sum, and
+  on blocks of those shapes that mix dense rows with the rows the one-level
+  certificate leaves open (:func:`open_rows_block`): as they are, scaled
+  near underflow, and with an ``inf`` row and a NaN row;
 - stdout, stderr and exit code of ``verify --all`` at seeds 0 to 9, of
   ``verify --all --seed 3 --inject-fault``, of ``analyze`` and ``roundtrip``
   on every bundled scenario (``roundtrip`` also with ``--left-inverse family``,
@@ -26,7 +29,12 @@ outputs and prints them, encoded bit for bit, as one JSON object:
   ``"seed": -5`` and a ``left_inverse`` ``"seed": -3`` in a config.  Against a
   tree from before negative seeds were rejected, these six runs differ: there
   ``analyze`` accepts both configs, and ``roundtrip`` and ``verify`` end in
-  numpy's ``ValueError: expected non-negative integer``.
+  numpy's ``ValueError: expected non-negative integer``.  Then the paths that
+  cannot be read or written, which must exit 2 with nothing on stdout:
+  ``analyze`` of a directory and of a file holding the bytes ``ff fe``, and
+  ``analyze identity.json --report .``.  Against a tree from before these
+  exited 2, these three runs differ: there each ends in a traceback, the
+  last after the report has gone to stdout.
   A report on stdout is compared as the JSON it parses to, with every float as
   its exact hex and every object as its ordered key/value pairs, so that two
   layouts of the same values compare equal; any other stdout is compared as
@@ -74,6 +82,27 @@ def _encode(call) -> str:
     except Exception as exc:  # the exception is the output being compared
         return f"raises {type(exc).__name__}: {exc}"
     return np.ascontiguousarray(np.asarray(value, dtype=np.complex128)).tobytes().hex()
+
+
+def open_rows_block(rng, rows: int, terms: int):
+    """Dense products of normal draws, with eight rows that one extraction
+    level cannot certify: rows of +0.0, of -0.0 and of both, a row of exactly
+    cancelling pairs, three ties (to even downward, to even upward, and below
+    a power of two) and a subnormal sum, each hidden among cancelling pairs."""
+    import numpy as np
+
+    def hidden(special):
+        pairs = rng.standard_normal((terms - len(special)) // 2)
+        row = np.zeros(terms)
+        row[:len(special) + 2 * len(pairs)] = [*special, *pairs, *(-pairs)]
+        return rng.permutation(row)
+
+    u = 2.0 ** -53  # half an ulp of 1
+    block = rng.standard_normal((rows, terms)) * rng.standard_normal((rows, terms))
+    block[:8] = [np.zeros(terms), -np.zeros(terms), rng.choice([0.0, -0.0], size=terms),
+                 hidden([]), hidden([1.0, u]), hidden([1.0 + 2 * u, u]), hidden([1.0, -u / 2]),
+                 hidden([3 * 5e-324, -(2.0 ** -1022)])]
+    return rng.permutation(block)
 
 
 def _kernel_outputs(out: dict) -> None:
@@ -129,6 +158,14 @@ def _kernel_outputs(out: dict) -> None:
             elif kind == "zeros_half":
                 terms[rng.random(shape) < 0.5] = 0.0
             out[f"exact_sums/{shape}/{kind}"] = _encode(lambda: exact_sums(terms))
+    for shape in BLOCK_SHAPES:
+        terms = open_rows_block(rng, *shape)
+        tiny = np.ldexp(terms, -1000)  # the bound is too small for the certified level
+        non_finite = terms.copy()
+        non_finite[rng.choice(shape[0], 2, replace=False), rng.integers(shape[1])] = (
+            float("inf"), float("nan"))
+        for kind, block in (("open", terms), ("open_tiny", tiny), ("open_non_finite", non_finite)):
+            out[f"exact_sums/{shape}/{kind}"] = _encode(lambda: exact_sums(block))
 
 
 def _bits(value):
@@ -174,7 +211,8 @@ def _cli_outputs(out: dict, scenarios: Path) -> None:
         argv = ["analyze", "identity.json", f"--tol={tol}"]
         out[" ".join(argv)] = run(argv)
     for argv in (["roundtrip", "identity.json", "--seed", "-5"],
-                 ["verify", "--all", "--seed", "-1"]):
+                 ["verify", "--all", "--seed", "-1"],
+                 ["analyze", "."], ["analyze", "identity.json", "--report", "."]):
         out[" ".join(argv)] = run(argv)
     identity = json.loads((scenarios / "identity.json").read_text(encoding="utf-8"))
     from workloads import CliVerify
@@ -198,6 +236,8 @@ def _cli_outputs(out: dict, scenarios: Path) -> None:
             Path(f"{name}.json").write_text(text, encoding="utf-8")
             for command in ("analyze", "roundtrip"):
                 out[f"{command} {name}.json"] = run([command, f"{name}.json"])
+        Path("not_utf8.json").write_bytes(b"\xff\xfe")
+        out["analyze not_utf8.json"] = run(["analyze", "not_utf8.json"])
         for seed in GENERATED_SEEDS:
             # the benchmark's own scenario and commands, written to a relative path
             commands = CliVerify().setup(seed, Path("."))["commands"]

@@ -5,7 +5,9 @@
 
 Times ``exact_sums`` on the block shapes the benchmark's workloads sum
 ((16, 2048), (64, 512), (28, 1152) and (30, 1024), products of normal
-draws); ``convolve`` and ``apply`` (a 3x2 system) on square tori of order 64,
+draws, and the same shapes with the open rows of
+``compare_trees.open_rows_block``: zero, cancelling, tied and subnormal
+sums); ``convolve`` and ``apply`` (a 3x2 system) on square tori of order 64,
 256, 1024 and 2304; on the same tori the build stages ``sample_matrix`` (2
 generators, 3 probes), ``synthesize`` and ``analysis_transform`` of a
 translation model with a delta window and strides (2, 2), the exact applies
@@ -53,6 +55,8 @@ import sys
 from pathlib import Path
 from time import perf_counter
 
+from compare_trees import open_rows_block
+
 REPEATS = 15
 BLOCK_SHAPES = ((16, 2048), (64, 512), (28, 1152), (30, 1024))  # exact_sums blocks
 SIDES = (8, 16, 32, 48)  # square tori: |G| = 64, 256, 1024, 2304
@@ -89,6 +93,10 @@ def stages() -> dict:
     for rows, terms in BLOCK_SHAPES:
         block = block_rng.standard_normal((rows, terms)) * block_rng.standard_normal((rows, terms))
         out[f"exact_sums/{rows}x{terms}"] = _timed(lambda: exact_sums(block))
+    open_rng = np.random.default_rng(2)
+    for rows, terms in BLOCK_SHAPES:
+        block = open_rows_block(open_rng, rows, terms)
+        out[f"exact_sums_open/{rows}x{terms}"] = _timed(lambda: exact_sums(block))
 
     for side in SIDES:
         g = gs.GroupSpec((side, side))

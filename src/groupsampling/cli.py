@@ -95,6 +95,8 @@ def load_config(path: str) -> ScenarioConfig:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise SchemaError(f"config file not found: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, or bytes that are not UTF-8
+        raise SchemaError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"config file {path} is not valid JSON: {exc}") from exc
     return parse_config(payload)
@@ -107,14 +109,14 @@ def bundled_scenario_paths() -> list[str]:
 
 def emit_report(report: dict, report_arg: str | None) -> None:
     text = render_report(report)
-    sys.stdout.write(text)
-    if report_arg:
+    if report_arg:  # first, so that a path that cannot be written leaves stdout empty
         path = Path(report_arg)
         directory = os.environ.get(REPORT_DIR_ENV)
         if directory and not path.is_absolute():
             path = Path(directory) / path
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text, encoding="utf-8")
+    sys.stdout.write(text)
 
 
 def cmd_analyze(config: ScenarioConfig, tol: float | None) -> dict:
@@ -408,12 +410,13 @@ def main(argv: list[str] | None = None) -> int:
                 parser.error("verify needs scenario files or --all")
             report = cmd_verify([load_config(p) for p in paths], args.seed,
                                 args.inject_fault)
-    except (SchemaError, DimensionMismatchError) as exc:  # e.g. a square dual of a 4x2 system
+        if args.timings:
+            report["timings"] = {"total_s": time.perf_counter() - started}
+        emit_report(report, args.report)
+    # e.g. a square dual of a 4x2 system, or a --report path that is a directory
+    except (SchemaError, DimensionMismatchError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    if args.timings:
-        report["timings"] = {"total_s": time.perf_counter() - started}
-    emit_report(report, args.report)
     return report["exit_code"]
 
 

@@ -23,8 +23,8 @@ rounding of almost every row (part II: "sign, K-fold faithful and rounding
 to nearest", 31(2), 2008); the convolution kernel takes that bound from the
 largest magnitudes of its operands.  The rows the certificate leaves open
 (ties, sums near a rounding boundary, zero or subnormal sums, non-finite
-terms) go through extraction levels repeated until nothing is left, then
-``math.fsum``.  The convolution kernel sums only the products that can
+terms) are few; each is summed by ``math.fsum``, unless all its terms are
+exact zeros.  The convolution kernel sums only the products that can
 change a correctly rounded sum, skipping those with an exact-zero factor,
 and only the output points asked for (``convolve(a, x, at=indices)``, which
 ``sample_matrix`` uses to evaluate the lattice points alone).
@@ -86,8 +86,10 @@ def exact_sums(terms: np.ndarray, bound: float | None = None) -> np.ndarray:
     to its neighbour on err's side (part II: "sign, K-fold faithful and
     rounding to nearest", 31(2), 2008).  The test is strict, so it also
     excludes ties.  Every other row (ties, sums near a rounding boundary,
-    zero or subnormal sums, non-finite terms, bounds near overflow or
-    underflow) goes to :func:`_multilevel_sums`.  ``terms`` is left unchanged.
+    zero or subnormal sums, non-finite terms, and every row of a block whose
+    bound is near overflow or underflow) is left open and summed by
+    ``math.fsum``; an open row of exact zeros of either sign is +0.0, as
+    ``math.fsum`` would return, without the call.  ``terms`` is left unchanged.
     """
     if terms.size < _FSUM_BELOW:
         return _fsum_rows(terms)
@@ -96,63 +98,30 @@ def exact_sums(terms: np.ndarray, bound: float | None = None) -> np.ndarray:
         bound = np.abs(terms).max()
     e = math.frexp(bound)[1]
     # sigma must be finite and B normal
-    if not (math.isfinite(bound) and e + m <= 1022 and e + 3 * m - 104 >= -1022):
-        return _multilevel_sums(terms)
-    sigma = math.ldexp(1.0, e + m + 1)
-    q = np.add(terms, sigma)
-    q -= sigma
-    s = q.sum(axis=1)
-    r = np.subtract(terms, q, out=q).sum(axis=1)
-    c = s + r
-    z = c - s
-    err = (s - (c - z)) + (r - z)
-    frac, exp = np.frexp(c)
-    # at a power of two the gap toward zero is half the gap away from it
-    toward_zero = (np.abs(frac) == 0.5) & (np.signbit(err) != np.signbit(c))
-    half_gap = np.ldexp(1.0, exp - 54 - toward_zero)
-    certified = (np.abs(c) >= _MIN_NORMAL) & (
-        np.abs(err) < half_gap - math.ldexp(1.0, e + 3 * m - 103))
-    if not certified.all():
-        c[~certified] = _multilevel_sums(terms[~certified])
-    return c
-
-
-def _multilevel_sums(terms: np.ndarray) -> np.ndarray:
-    """:func:`exact_sums` by extraction levels repeated until nothing is left.
-
-    With 2^M >= K + 2 and sigma = 2^(M + e) >= 2^M max|r| per row, the parts
-    q = (sigma + r) - sigma are exact, their sum is exact in any order, and
-    the remainders r - q are exact and at most half an ulp of sigma.  Levels
-    repeat until the remainders vanish; the exact row sum is then the exact
-    sum of the level sums, which ``math.fsum`` rounds as it would round the
-    row.  Rows with a non-finite term, or terms so large that sigma or a
-    level sum could overflow, are summed by ``math.fsum``, keeping its values
-    and exceptions.
-    """
-    if terms.size < _FSUM_BELOW:
-        return _fsum_rows(terms)
-    m = (terms.shape[1] + 1).bit_length()  # ceil(log2(K + 2))
-    r, q = terms, np.empty_like(terms)
-    mu = np.abs(terms, out=q).max(axis=1)
-    safe = mu < 2.0 ** (1020 - m)  # False for inf and nan too
-    if not safe.all():
-        out = np.empty(terms.shape[0])
-        out[~safe] = _fsum_rows(terms[~safe])
-        if safe.any():
-            out[safe] = _multilevel_sums(terms[safe])
-        return out
-    levels = []
-    while mu.any():
-        sigma = np.ldexp(1.0, np.frexp(mu)[1] + m)[:, None]
-        np.add(r, sigma, out=q)
+    if math.isfinite(bound) and e + m <= 1022 and e + 3 * m - 104 >= -1022:
+        sigma = math.ldexp(1.0, e + m + 1)
+        q = np.add(terms, sigma)
         q -= sigma
-        levels.append(q.sum(axis=1))
-        # the first level leaves the caller's terms untouched
-        r = np.subtract(r, q, out=None if r is terms else r)
-        mu = np.abs(r, out=q).max(axis=1)
-    if len(levels) <= 1:
-        return levels[0] if levels else np.zeros(terms.shape[0])
-    return _fsum_rows(np.stack(levels, axis=1))
+        s = q.sum(axis=1)
+        r = np.subtract(terms, q, out=q).sum(axis=1)
+        c = s + r
+        z = c - s
+        err = (s - (c - z)) + (r - z)
+        frac, exp = np.frexp(c)
+        # at a power of two the gap toward zero is half the gap away from it
+        toward_zero = (np.abs(frac) == 0.5) & (np.signbit(err) != np.signbit(c))
+        half_gap = np.ldexp(1.0, exp - 54 - toward_zero)
+        certified = (np.abs(c) >= _MIN_NORMAL) & (
+            np.abs(err) < half_gap - math.ldexp(1.0, e + 3 * m - 103))
+    else:  # every row is left open
+        c, certified = np.zeros(terms.shape[0]), np.zeros(terms.shape[0], dtype=bool)
+    if not certified.all():
+        open_terms = terms[~certified]
+        sums = np.zeros(len(open_terms))
+        live = open_terms.any(axis=1)  # a row of zeros of either sign sums to +0.0
+        sums[live] = _fsum_rows(open_terms[live])
+        c[~certified] = sums
+    return c
 
 
 def _exact_convolve(a_values: np.ndarray, x_values: np.ndarray, group: GroupSpec,
@@ -172,8 +141,8 @@ def _exact_convolve(a_values: np.ndarray, x_values: np.ndarray, group: GroupSpec
     Blocks of output points are summed together by :func:`exact_sums`, with
     one bound on every product of the call: the product of the largest real
     or imaginary magnitudes of the two operands (NaN or inf when either has a
-    non-finite entry or the product overflows, which :func:`exact_sums` sends
-    to its multi-level path).
+    non-finite entry or the product overflows, which leaves every row of
+    the block to ``math.fsum`` in :func:`exact_sums`).
     """
     m_rows, n_cols, order = a_values.shape
     n_points = order if points is None else len(points)
@@ -490,9 +459,9 @@ def convolve(a, x, *, at: np.ndarray | None = None):
     """(a * x)(h) = sum_{h'} a(h - h') x(h'), by exactly rounded brute force.
 
     Takes two sequences, or two stacks of equal shape (VectorSequence), whose
-    row k is bitwise the convolution of row k of a with row k of x.  With ``at``, an array of point indices, returns only the
-    values at those points, as an array; otherwise the whole convolution,
-    with a's type.
+    row k is bitwise the convolution of row k of a with row k of x.  With
+    ``at``, an array of point indices, returns only the values at those
+    points, as an array; otherwise the whole convolution, with a's type.
     """
     _same_group(a.group, x.group, "cannot convolve sequences on different groups")
     av, xv = a.values, x.values

@@ -195,17 +195,6 @@ class SequenceMatrix:
         raise AttributeError("SequenceMatrix is immutable")
 
     @classmethod
-    def from_entries(cls, entries: list[list[GroupSequence]]) -> SequenceMatrix:
-        group = entries[0][0].group
-        rows = []
-        for row in entries:
-            for e in row:
-                if e.group != group:
-                    raise GroupMismatchError("entries live on different groups")
-            rows.append(np.stack([e.values for e in row]))
-        return cls(group, np.stack(rows))
-
-    @classmethod
     def identity(cls, group: GroupSpec, n: int) -> SequenceMatrix:
         values = np.zeros((n, n, group.order), dtype=np.complex128)
         for i in range(n):

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupsampling import GroupSpec, SequenceMatrix, VectorSequence, apply, groups
-from groupsampling.groups import _FSUM_BELOW, exact_sums
+from groupsampling.groups import _FSUM_BELOW
 
 U = 2.0 ** -53  # half an ulp of 1
 ROW_LENGTHS = [2 ** m - d for m in range(2, 13) for d in (2, 1)]  # both sides of each step
@@ -83,7 +83,7 @@ def outcome(fn):
 
 def assert_as_fsum(terms, bound=None):
     before = terms.copy()
-    assert outcome(lambda: exact_sums(terms, bound)) == outcome(lambda: fsum_rows(terms))
+    assert outcome(lambda: groups.exact_sums(terms, bound)) == outcome(lambda: fsum_rows(terms))
     assert (terms.view(np.int64) == before.view(np.int64)).all()  # terms left unchanged
 
 
@@ -116,30 +116,11 @@ def test_rows_near_rounding_boundaries(k, spread):
         assert_as_fsum(terms, None if slack is None else np.abs(terms).max() * 2.0 ** slack)
 
 
-def count_fallback_rows(monkeypatch):
-    """Record how many rows each call sends to the multi-level path."""
-    counts, depth = [], [0]
-    multilevel = groups._multilevel_sums
-
-    def counted(terms):
-        if not depth[0]:  # the multi-level path calls itself on its safe rows
-            counts.append(terms.shape[0])
-        depth[0] += 1
-        try:
-            return multilevel(terms)
-        finally:
-            depth[0] -= 1
-
-    monkeypatch.setattr(groups, "_multilevel_sums", counted)
-    return counts
-
-
-def test_dense_rows_are_certified_and_ties_fall_back(monkeypatch):
-    counts = count_fallback_rows(monkeypatch)
+def test_dense_rows_are_certified_and_ties_fall_back(fsum_fallback):
     rng = np.random.default_rng(0)
     dense = rng.standard_normal((64, 512)) * rng.standard_normal((64, 512))
     assert_as_fsum(dense)
-    assert sum(counts) == 0
+    assert sum(map(len, fsum_fallback)) == 0
     ties = np.stack([build_row(kind, rng, 512, 4, 1.0) for kind in
                      ["tie_to_even_down", "tie_to_even_up", "tie_below_power",
                       "tie_below_power_down"] * 8])
@@ -147,19 +128,35 @@ def test_dense_rows_are_certified_and_ties_fall_back(monkeypatch):
     ties = np.ldexp(ties, -np.frexp(np.abs(ties).max(axis=1))[1][:, None])
     mixed = np.concatenate([ties, dense])
     assert_as_fsum(mixed)
-    assert sum(counts) == len(ties)  # the dense rows beside them are still certified
+    # the dense rows beside the ties are still certified
+    assert sum(map(len, fsum_fallback)) == len(ties)
 
 
-def test_convolution_rows_are_certified(monkeypatch):
+def test_convolution_rows_are_certified(fsum_fallback):
     """The bound _exact_convolve derives from its operands certifies generic sums."""
-    counts = count_fallback_rows(monkeypatch)
     rng = np.random.default_rng(2)
     g = GroupSpec((16, 16))
     a = rng.standard_normal((2, 2, g.order)) + 1j * rng.standard_normal((2, 2, g.order))
     x = rng.standard_normal((2, g.order)) + 1j * rng.standard_normal((2, g.order))
     apply(SequenceMatrix(g, a), VectorSequence(g, x))
-    assert sum(counts) == 0
-    a[0, 1, 5] = math.inf  # a non-finite operand sends every row to the multi-level path
+    assert sum(map(len, fsum_fallback)) == 0
+    a[0, 1, 5] = math.inf  # a non-finite operand leaves every row open
     with np.errstate(invalid="ignore"):
         apply(SequenceMatrix(g, a), VectorSequence(g, x))
-    assert sum(counts) == 2 * 2 * g.order
+    assert sum(map(len, fsum_fallback)) == 2 * 2 * g.order
+
+
+def test_open_rows_of_zeros_skip_fsum(fsum_fallback):
+    """Rows of +0.0 and -0.0 terms are +0.0 without math.fsum; exactly
+    cancelling rows beside them are open and summed by it, dense ones certified."""
+    rng = np.random.default_rng(3)
+    k = 512
+    dense = rng.standard_normal((16, k)) * rng.standard_normal((16, k))
+    zeros = [np.zeros(k), -np.zeros(k), rng.choice([0.0, -0.0], size=k)]
+    cancelling = np.stack([build_row("zero", rng, k, spread, 1.0) for spread in (0, 8, 24)])
+    # scaled by powers of two to the size of the dense rows, so that those stay certified
+    cancelling = np.ldexp(cancelling, -np.frexp(np.abs(cancelling).max(axis=1))[1][:, None])
+    terms = np.stack([*zeros, *cancelling, *dense])[rng.permutation(22)]
+    assert_as_fsum(terms)
+    assert sum(map(len, fsum_fallback)) == len(cancelling)
+    assert all(block.any(axis=1).all() for block in fsum_fallback)  # no row of zeros

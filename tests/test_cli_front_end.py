@@ -138,3 +138,35 @@ def test_negative_config_seed_exits_two(command, changes, key, tmp_path, capsys)
     assert code == 2 and out == ""
     assert err.startswith(f"error: {key}: expected an integer >= 0, got -")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["analyze", "roundtrip", "verify"])
+@pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+def test_unreadable_config_exits_two(command, kind, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe")
+    code, out, err = run_cli([command, str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read config file {path}: ")
+    assert err.count("\n") == 1
+
+
+def test_missing_config_keeps_its_message(tmp_path, capsys):
+    path = tmp_path / "missing.json"
+    code, out, err = run_cli(["analyze", str(path)], capsys)
+    assert (code, out, err) == (2, "", f"error: config file not found: {path}\n")
+
+
+@pytest.mark.parametrize("target", ["directory", "under_a_file"])
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_unwritable_report_exits_two_before_stdout(command, target, tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    report = tmp_path if target == "directory" else tmp_path / "file" / "report.json"
+    code, out, err = run_cli([command, SCENARIOS["identity"], "--report", str(report)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and str(tmp_path) in err
+    assert err.count("\n") == 1
+

@@ -12,7 +12,7 @@ their single-sequence calls, row by row.
 import numpy as np
 import pytest
 
-from groupsampling import GroupSequence, GroupSpec, SequenceMatrix, VectorSequence, cli, groups
+from groupsampling import GroupSequence, GroupSpec, SequenceMatrix, VectorSequence, cli
 from groupsampling.cli import _foundation_checks, _rng
 from groupsampling.errors import DimensionMismatchError
 from groupsampling.groups import convolve, dft, exact_norm_sq, idft, involution
@@ -173,22 +173,18 @@ def test_stacked_convolve_with_a_non_finite_row(moduli, where, values):
 
 
 @pytest.mark.parametrize("moduli", MODULI, ids=str)
-def test_stacked_convolve_with_rows_of_different_scales(moduli, monkeypatch):
+def test_stacked_convolve_with_rows_of_different_scales(moduli, fsum_fallback):
     """The bound of a stack covers its largest products, whichever rows hold them:
-    the small rows are not certified by it and take the multilevel path, with
+    the small rows are not certified by it and are summed by math.fsum, with
     the same bits."""
     group = GroupSpec(moduli)
     rng = np.random.default_rng(10)
     a, x = draw_stack(rng, (6, group.order)), draw_stack(rng, (6, group.order))
     a[::2] *= 1e150
     x[3] *= 1e200  # the largest products are in a row whose x is not the first
-    multilevel_rows = []
-    multilevel = groups._multilevel_sums
-    monkeypatch.setattr(groups, "_multilevel_sums",
-                        lambda terms: multilevel_rows.append(len(terms)) or multilevel(terms))
     assert_rows_are_single_calls(VectorSequence(group, a), VectorSequence(group, x))
     if group.order >= 12:  # blocks large enough for the certified level
-        assert multilevel_rows
+        assert sum(map(len, fsum_fallback))
 
 
 def test_stacked_convolve_needs_equal_shapes():
