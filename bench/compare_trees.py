@@ -5,11 +5,15 @@
 Each tree is imported in its own subprocess, which computes the same seeded
 outputs and prints them, encoded bit for bit, as one JSON object:
 
-- ``convolve`` (both argument orders, and at a subset of points), ``apply``,
+- ``convolve`` (both argument orders, and at every third point), ``apply``,
   ``exact_inner`` and ``exact_norm_sq`` on groups of one to three factors,
   with M, N in 1..3, operands scaled by 1, 1e150, 1e-300 and 5e-324, and 0,
   30, 75, 95 and 100% exact zeros; then the same with inf, -inf and NaN
-  entries (the raised exception stands in for a value);
+  entries (the raised exception stands in for a value).  Above 1024 points
+  (Z48 x Z48, Z1100 and Z2 x Z3 x Z200) M = N = 1, with 0, 75 and 95% zeros
+  and finite entries only, so that the difference rows of every column and of
+  column subsets of both shapes (fewer points than columns, and more) are
+  compared;
 - ``exact_sums`` on blocks of the shapes the benchmark's workloads sum, and
   on blocks of those shapes that mix dense rows with the rows the one-level
   certificate leaves open (:func:`open_rows_block`): as they are, scaled
@@ -59,7 +63,8 @@ from pathlib import Path
 
 SCALES = (1.0, 1e150, 1e-300, 5e-324)
 ZERO_SHARES = (0.0, 0.3, 0.75, 0.95, 1.0)
-MODULI = ((40,), (7, 9), (4, 3, 5), (32, 32), (48, 48))
+MODULI = ((40,), (7, 9), (4, 3, 5), (32, 32), (48, 48), (1100,), (2, 3, 200))
+BIG_ZERO_SHARES = (0.0, 0.75, 0.95)  # above 1024 points: dense, and two column subsets
 BLOCK_SHAPES = ((16, 2048), (64, 512), (28, 1152), (30, 1024))
 NON_FINITE = (float("inf"), float("-inf"), float("nan"))
 VERIFY_SEEDS = range(10)
@@ -131,9 +136,9 @@ def _kernel_outputs(out: dict) -> None:
 
     for moduli in MODULI:
         g = gs.GroupSpec(moduli)
-        big = g.order > 1024  # one case per scale: the block path without the cached table
+        big = g.order > 1024  # one 1x1 case per scale and zero share
         for scale in SCALES:
-            for zeros in ZERO_SHARES[:1] if big else ZERO_SHARES:
+            for zeros in BIG_ZERO_SHARES if big else ZERO_SHARES:
                 m_rows, n_cols = (1, 1) if big else rng.integers(1, 4, size=2)
                 a = draw((m_rows, n_cols, g.order), zeros, scale)
                 x = draw((n_cols, g.order), zeros, 1.0)

@@ -8,7 +8,10 @@ Times ``exact_sums`` on the block shapes the benchmark's workloads sum
 draws, and the same shapes with the open rows of
 ``compare_trees.open_rows_block``: zero, cancelling, tied and subnormal
 sums); ``convolve`` and ``apply`` (a 3x2 system) on square tori of order 64,
-256, 1024 and 2304; on the same tori the build stages ``sample_matrix`` (2
+256, 1024 and 2304; ``convolve`` cold, on a new ``GroupSpec`` each call so
+that tables a group caches are built inside the timing, on orders 256, 1024
+and 2304, with the peak of ``tracemalloc`` over one call (``traced_peak_mb``,
+taken after the timed calls); on the same tori the build stages ``sample_matrix`` (2
 generators, 3 probes), ``synthesize`` and ``analysis_transform`` of a
 translation model with a delta window and strides (2, 2), the exact applies
 of its procedure, ``take_samples`` (3x2) and ``reconstruct_coefficients``
@@ -52,6 +55,7 @@ import json
 import platform
 import statistics
 import sys
+import tracemalloc
 from pathlib import Path
 from time import perf_counter
 
@@ -60,6 +64,7 @@ from compare_trees import open_rows_block
 REPEATS = 15
 BLOCK_SHAPES = ((16, 2048), (64, 512), (28, 1152), (30, 1024))  # exact_sums blocks
 SIDES = (8, 16, 32, 48)  # square tori: |G| = 64, 256, 1024, 2304
+COLD_SIDES = (16, 32, 48)  # |G| = 256, 1024, 2304, on a new GroupSpec per call
 VERDICT_SIDES = SIDES + (64,)  # and |G| = 4096
 PROCEDURE_SIDES = (32, 64)  # |H| = 1024, and 4096 as in stability_scan
 C4_SIDES = (24, 48)  # |G| = 576 and 2304, |H| = 64 and 256
@@ -75,6 +80,16 @@ def _timed(call) -> dict:
         call()
         times.append(perf_counter() - start)
     return {"min_s": min(times), "median_s": statistics.median(times), "repeats": REPEATS}
+
+
+def _traced_peak_mb(call) -> float:
+    """Peak of the memory ``tracemalloc`` sees over one call, in MB."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def stages() -> dict:
@@ -122,6 +137,18 @@ def stages() -> dict:
         if g.order <= 1024:  # a new model each call, so no cached spectrum is reused
             out[f"reproducing_kernel/{g.order}"] = _timed(
                 lambda: gs.reproducing_kernel(gs.TranslationModel(g, a, sub, gens)))
+
+    cold_rng = np.random.default_rng(3)  # leaves the draws of the other stages as they were
+    for side in COLD_SIDES:
+        a, x = (cold_rng.standard_normal(side * side) + 1j * cold_rng.standard_normal(side * side)
+                for _ in range(2))
+
+        def cold():
+            g = gs.GroupSpec((side, side))
+            return gs.convolve(gs.GroupSequence(g, a), gs.GroupSequence(g, x))
+
+        out[f"convolve_cold/{side * side}"] = {**_timed(cold),
+                                               "traced_peak_mb": _traced_peak_mb(cold)}
 
     for side in C4_SIDES:
         torus = gs.GroupSpec((side, side))
@@ -206,7 +233,9 @@ def main(argv=None) -> int:
     record.setdefault("timings", {})[args.label] = timings
     args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     for name, t in timings.items():
-        print(f"{args.label:>8} {name:<36} min {t['min_s']:.4f} s  median {t['median_s']:.4f} s")
+        peak = f"  traced peak {t['traced_peak_mb']:.2f} MB" if "traced_peak_mb" in t else ""
+        print(f"{args.label:>8} {name:<36} min {t['min_s']:.4f} s  median {t['median_s']:.4f} s"
+              + peak)
     return 0
 
 

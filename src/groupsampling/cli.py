@@ -9,6 +9,7 @@ reproducibility.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -352,6 +353,7 @@ def seed(text: str) -> int:
     return parse_seed(int(text), "--seed")
 
 
+@functools.cache  # parsing leaves the parser as it was, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="groupsampling",

@@ -27,7 +27,9 @@ terms) are few; each is summed by ``math.fsum``, unless all its terms are
 exact zeros.  The convolution kernel sums only the products that can
 change a correctly rounded sum, skipping those with an exact-zero factor,
 and only the output points asked for (``convolve(a, x, at=indices)``, which
-``sample_matrix`` uses to evaluate the lattice points alone).
+``sample_matrix`` uses to evaluate the lattice points alone).  Its index rows,
+summed per batch from one table per cyclic factor, and its other block-sized
+work arrays live in a per-thread scratch of at most six arrays of 256 kB.
 :func:`convolve_fft` is the
 fast path; it, :func:`convolve`, :func:`dft`, :func:`idft`, :func:`involution`
 and :func:`exact_norm_sq` work on stacks of sequences, the transforms through
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
@@ -45,10 +48,6 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, GroupMismatchError
-
-# Full difference tables are cached only up to this order; larger groups
-# compute blocks of them on the fly from the per-factor tables.
-_DIFFERENCE_TABLE_MAX_ORDER = 1024
 
 # Below this many terms in all, one math.fsum per row beats the certified
 # extraction level of exact_sums, whose numpy calls cost a fixed 20-33 us: one
@@ -63,6 +62,20 @@ _FSUM_BELOW = 800
 _BLOCK_TERMS = 1 << 15
 
 _MIN_NORMAL = np.finfo(np.float64).tiny
+
+# The exact kernel's work arrays, kept per thread across blocks and calls: arrays
+# allocated per block would be memory that glibc trims on free and faults in again.
+_scratch = threading.local()
+
+
+def _work(name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+    """This thread's ``name`` array, grown to fit, or a new one above _BLOCK_TERMS entries."""
+    size, buffers = math.prod(shape), vars(_scratch)
+    if size > _BLOCK_TERMS:
+        return np.empty(shape, dtype)
+    if len(buffers.get(name, ())) < size:
+        buffers[name] = np.empty(size, dtype)
+    return buffers[name][:size].reshape(shape)
 
 
 def _fsum_rows(terms: np.ndarray) -> np.ndarray:
@@ -100,7 +113,7 @@ def exact_sums(terms: np.ndarray, bound: float | None = None) -> np.ndarray:
     # sigma must be finite and B normal
     if math.isfinite(bound) and e + m <= 1022 and e + 3 * m - 104 >= -1022:
         sigma = math.ldexp(1.0, e + m + 1)
-        q = np.add(terms, sigma)
+        q = np.add(terms, sigma, out=_work("q", terms.shape))
         q -= sigma
         s = q.sum(axis=1)
         r = np.subtract(terms, q, out=q).sum(axis=1)
@@ -142,10 +155,12 @@ def _exact_convolve(a_values: np.ndarray, x_values: np.ndarray, group: GroupSpec
     one bound on every product of the call: the product of the largest real
     or imaginary magnitudes of the two operands (NaN or inf when either has a
     non-finite entry or the product overflows, which leaves every row of
-    the block to ``math.fsum`` in :func:`exact_sums`).
+    the block to ``math.fsum`` in :func:`exact_sums`).  The index rows (per batch
+    of blocks), the gathered a and the terms are this thread's reused work arrays.
     """
     m_rows, n_cols, order = a_values.shape
-    n_points = order if points is None else len(points)
+    points = np.arange(order) if points is None else points
+    n_points = len(points)
     # rounding is monotone, so |fl(u * v)| <= fl(max|u| * max|v|); np.maximum keeps NaN
     bound = math.prod(float(np.maximum(np.abs(v.real).max(initial=0.0),
                                        np.abs(v.imag).max(initial=0.0)))
@@ -161,19 +176,25 @@ def _exact_convolve(a_values: np.ndarray, x_values: np.ndarray, group: GroupSpec
     # x * -xi is -(x * xi) bitwise: rounding to nearest is symmetric in sign
     xr, xi, neg_xi = (np.ascontiguousarray(p) for p in
                       (x_values.real, x_values.imag, -x_values.imag))
-    row_terms = 2 * n_cols * x_values.shape[-1]
+    kept = x_values.shape[-1]
+    row_terms = 2 * n_cols * kept
     block = max(1, min(n_points, _BLOCK_TERMS // max(1, 2 * m_rows * row_terms)))
+    batch = block * max(1, _BLOCK_TERMS // max(1, block * kept))  # points per index batch
     # terms[p, m, (re, im), part, n, h']: each (p, m, re/im) row is one sum,
     # and h' runs fastest, so the products stream over long contiguous rows
-    terms = np.empty((block, m_rows, 2, 2, n_cols, x_values.shape[-1]))
+    terms = _work("terms", (block, m_rows, 2, 2, n_cols, kept))
     out = np.empty((m_rows, n_points), dtype=np.complex128)
     for start in range(0, n_points, block):
-        stop = min(start + block, n_points)
-        rows = group.differences(slice(start, stop) if points is None
-                                 else points[start:stop], cols)
+        if start % batch == 0:
+            stop = min(start + batch, n_points)
+            batch_rows = group.differences(points[start:stop], cols,
+                                           _work("rows", (stop - start, kept), np.int64))
+        rows = batch_rows[start % batch:start % batch + block]
         p = len(rows)
-        ar, ai = (np.take(part, rows, axis=1).reshape(m_rows, n_cols, *rows.shape)
-                  .transpose(2, 0, 1, 3) for part in a_parts)
+        ar, ai = (np.take(part, rows, axis=1, mode="clip",
+                          out=_work(name, (len(part), *rows.shape)))
+                  .reshape(m_rows, n_cols, *rows.shape).transpose(2, 0, 1, 3)
+                  for part, name in zip(a_parts, ("a_re", "a_im")))
         t = terms[:p]
         np.multiply(ar, xr, out=t[:, :, 0, 0])
         np.multiply(ai, neg_xi, out=t[:, :, 0, 1])
@@ -262,30 +283,30 @@ class GroupSpec:
         return tuple(np.mod(np.subtract.outer(np.arange(s), np.arange(s)), s) * d
                      for s, d in zip(self.moduli, strides))
 
-    def _sum_factor_differences(self, points, cols) -> np.ndarray:
-        h, g = self.coords_array[points], self.coords_array[cols]
-        out = np.zeros((len(h), len(g)), dtype=np.int64)
-        for table, u, v in zip(self._factor_differences, h.T, g.T):
-            out += table[u[:, None], v]
-        return out
-
-    @cached_property
-    def _difference_table(self) -> np.ndarray | None:
-        if self.order > _DIFFERENCE_TABLE_MAX_ORDER:
-            return None
-        table = self._sum_factor_differences(slice(None), slice(None))
-        table.setflags(write=False)
-        return table
-
-    def differences(self, points, cols) -> np.ndarray:
+    def differences(self, points, cols, out: np.ndarray | None = None) -> np.ndarray:
         """Indices of h - g for h in ``points`` and g in ``cols``, one row per point.
 
-        ``points`` and ``cols`` are index arrays or slices of the enumeration.
+        ``points`` and ``cols`` are index arrays or slices of the enumeration.  A row
+        sums T_j[h_j, g_j] over the factors: the rows T_j[h_j] broadcast along factor
+        j's axis for every column, one ``np.take`` per factor for a subset.
         """
-        table = self._difference_table
-        if table is not None:
-            return table[points][:, cols]
-        return self._sum_factor_differences(points, cols)
+        h, g = self.coords_array[points], self.coords_array[cols]
+        out = np.empty((len(h), len(g)), np.int64) if out is None else out
+        every = isinstance(cols, slice) and cols == slice(None)
+        grid = out.reshape(len(h), *(self.moduli if every else (len(g),)))
+        ones = (1,) * self.ndim
+        for j, (table, u, v) in enumerate(zip(self._factor_differences, h.T, g.T)):
+            if every:
+                part = table[u].reshape(len(u), *ones[:j], -1, *ones[j + 1:])
+            else:  # from the smaller block of T_j: the points' rows or the columns
+                block, index, axis = (table[u], v, 1) if len(u) <= len(v) else (table[:, v], u, 0)
+                part = np.take(block, index, axis=axis, mode="clip",
+                               out=_work("addend", out.shape, np.int64))
+            if j:
+                grid += part
+            else:
+                np.copyto(grid, part)
+        return out
 
     def translation_perm(self, t: int) -> np.ndarray:
         """Indices of g - t for every g; gathering with it implements T_t."""

@@ -35,9 +35,14 @@ SampleSet = VectorSequence
 class SamplingFunctions:
     """Reconstruction kernels: one function on the ambient group per sample channel."""
 
-    functions: tuple[FunctionOnG, ...]
+    model: TranslationModel
     betas: tuple[GroupSequence, ...]
     coefficient_frame_bounds: tuple[float, float]
+
+    @cached_property
+    def functions(self) -> tuple[FunctionOnG, ...]:
+        """The S_m, correlations of the betas with the window, computed on first read."""
+        return tuple(analysis_transform(self.model, beta) for beta in self.betas)
 
 
 @dataclass(eq=False)
@@ -128,30 +133,27 @@ def reconstruct_coefficients(proc: SamplingProcedure, samples: SampleSet) -> Vec
 
 def build_sampling_functions(proc: SamplingProcedure) -> SamplingFunctions:
     """Reconstruction kernels S_m: correlations of the synthesized dual columns."""
-    betas = []
-    functions = []
-    for m in range(proc.n_channels):
-        beta = synthesize(proc.model, proc.dual.coefficients.column(m))
-        betas.append(beta)
-        functions.append(analysis_transform(proc.model, beta))
+    betas = tuple(synthesize(proc.model, proc.dual.coefficients.column(m))
+                  for m in range(proc.n_channels))
     b = proc.dual.transfer.matrices
     outer = np.matmul(b, np.conj(b.transpose(0, 2, 1)))
     eigs = np.linalg.eigvalsh(outer)
     bounds = (float(eigs[:, 0].min()), float(eigs[:, -1].max()))
-    return SamplingFunctions(functions=tuple(functions), betas=tuple(betas),
-                             coefficient_frame_bounds=bounds)
+    return SamplingFunctions(model=proc.model, betas=betas, coefficient_frame_bounds=bounds)
 
 
 def _sum_translates(proc: SamplingProcedure, sample_spectra: np.ndarray,
-                    kernel_spectra: np.ndarray) -> np.ndarray:
+                    kernel_spectra) -> np.ndarray:
     """The sampling formula sum_m sum_h s_m(h) T_{embed(h)} K_m as one inverse transform.
 
     Samples placed on the lattice have at each character of G their transform over H at its
     restriction, so the (M, |H|) ``sample_spectra`` are gathered by restriction, multiply the
-    (..., M, |G|) ``kernel_spectra`` (leading axes are a batch) and are summed over M.
+    M ``kernel_spectra``, each (..., |G|) (leading axes are a batch), and are summed over M in
+    order, one kernel at a time, so that no (..., M, |G|) product is held.
     """
     spread = sample_spectra[:, proc.model.subgroup.restriction_indices]
-    return proc.model.ambient.ifft((kernel_spectra * spread).sum(axis=-2))
+    terms = (kernel * s for kernel, s in zip(kernel_spectra, spread))
+    return proc.model.ambient.ifft(sum(terms, next(terms)))
 
 
 def reconstruct_function(proc: SamplingProcedure, samples: SampleSet) -> FunctionOnG:
@@ -159,6 +161,8 @@ def reconstruct_function(proc: SamplingProcedure, samples: SampleSet) -> Functio
     if samples.n_components != proc.n_channels:
         raise DimensionMismatchError(
             f"expected {proc.n_channels} sample channels, got {samples.n_components}")
+    if samples.group != proc.system.group:
+        raise GroupMismatchError("samples are not on the abstract sampling group")
     g = proc.model.ambient
     kernels = g.fft(np.stack([s.flat() for s in proc.sampling_functions.functions]))
     return FunctionOnG(g, _sum_translates(proc, samples.group.fft(samples.values), kernels))
@@ -318,7 +322,7 @@ def semidirect_sample_and_reconstruct(model: SemidirectModel,
     s_hat = np.matmul(transfer(proc.system).matrices, c_hat[:, :, None])[:, :, 0].T
     # kernel (i, m) is beta_m correlated with the window rotated into sector i
     g = model.torus
-    windows = g.fft(np.stack([rotate_sequence(model, i, model.phi).values
-                              for i in range(model.n_rotations)]))
+    windows = np.conj(g.fft(np.stack([rotate_sequence(model, i, model.phi).values
+                                      for i in range(model.n_rotations)])))
     betas = g.fft(np.stack([b.values for b in proc.sampling_functions.betas]))
-    return FunctionOnG(g, _sum_translates(proc, s_hat, np.conj(windows)[:, None] * betas))
+    return FunctionOnG(g, _sum_translates(proc, s_hat, (windows * b for b in betas)))

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupsampling import TransferMatrix
-from groupsampling.cli import bundled_scenario_paths, main
+from groupsampling.cli import build_parser, bundled_scenario_paths, main
 from groupsampling.config import parse_config
 from groupsampling.report import render_report
 
@@ -45,6 +45,17 @@ def test_timings_add_only_total_s(argv, capsys):
     assert isinstance(timings["total_s"], float) and timings["total_s"] >= 0.0
     assert timed == plain
     assert timed_code == code == plain["exit_code"]
+
+
+def test_one_parser_serves_every_call(capsys):
+    """The parser is built once, and no call leaves options or defaults for the next."""
+    assert build_parser() is build_parser()
+    first = run_cli(["roundtrip", SCENARIOS["identity"]], capsys)
+    run_cli(["roundtrip", SCENARIOS["identity"], "--seed", "7", "--tol", "1e-3",
+             "--left-inverse", "family", "--timings"], capsys)
+    code, out, err = run_cli(["verify"], capsys)
+    assert code == 2 and out == "" and "verify needs scenario files or --all" in err
+    assert run_cli(["roundtrip", SCENARIOS["identity"]], capsys) == first
 
 
 def _bits(x: float) -> bytes:

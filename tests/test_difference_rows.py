@@ -1,16 +1,13 @@
-"""GroupSpec.differences above the cached-table limit, against the coordinates.
+"""GroupSpec.differences on groups above 1024 points, against the coordinates.
 
-Above ``_DIFFERENCE_TABLE_MAX_ORDER`` no table over the whole group is
-cached, and the rows are gathered per block from the per-factor tables, for
-every column or for a subset.  Each entry must be the index of h - g,
-``ravel(coords[h] - coords[g])``.
+The rows are summed from the per-factor tables, for every column or for a
+subset.  Each entry must be the index of h - g, ``ravel(coords[h] - coords[g])``.
 """
 
 import numpy as np
 import pytest
 
 from groupsampling import GroupSpec
-from groupsampling.groups import _DIFFERENCE_TABLE_MAX_ORDER
 
 MODULI = [(48, 48), (2, 3, 200), (1100,)]
 
@@ -24,7 +21,6 @@ def reference(g, points, cols):
 @pytest.mark.parametrize("moduli", MODULI, ids=str)
 def test_every_column(moduli):
     g = GroupSpec(moduli)
-    assert g.order > _DIFFERENCE_TABLE_MAX_ORDER and g._difference_table is None
     rng = np.random.default_rng(0)
     points = np.sort(rng.choice(g.order, size=40, replace=False))
     for rows in (slice(0, 64), slice(g.order - 17, g.order), points):

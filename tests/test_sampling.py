@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from groupsampling import (DimensionMismatchError, GroupSequence,
+from groupsampling import (DimensionMismatchError, GroupMismatchError, GroupSequence,
                            GroupSpec, ProductSubgroup, SequenceMatrix, SingularCharacterError,
                            TransferMatrix, TranslationModel, VectorSequence,
                            analysis_transform, apply, diagnostics, finite_index_model,
@@ -147,6 +147,19 @@ class TestReconstructFunction:
         proc = shannon_procedure(shannon_z4_model())
         out = reconstruct_function(proc, VectorSequence.zeros(proc.system.group, 1))
         assert out.max_abs() == 0.0
+
+    def test_samples_on_another_group_of_the_same_order(self):
+        """Samples on Z16 are not samples on the Z4 x Z4 lattice of Z8 x Z8."""
+        rng = np.random.default_rng(7)
+        g = GroupSpec((8, 8))
+        model = TranslationModel(g, GroupSequence.delta(g), ProductSubgroup(g, (2, 2)),
+                                 (GroupSequence(g, rng.standard_normal(64)),))
+        proc = make_procedure(model, probes=[GroupSequence(g, rng.standard_normal(64))])
+        samples = VectorSequence(GroupSpec((16,)), rng.standard_normal((1, 16)))
+        with pytest.raises(GroupMismatchError):
+            reconstruct_coefficients(proc, samples)
+        with pytest.raises(GroupMismatchError):
+            reconstruct_function(proc, samples)
 
     def test_two_path_consistency(self):
         rng = np.random.default_rng(5)

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from groupsampling import (GroupSequence, GroupSpec, ProductSubgroup, SequenceMatrix,
                            TranslationModel, VectorSequence, analysis_transform, apply,
                            convolve, sample_matrix, synthesize)
-from groupsampling.groups import _DIFFERENCE_TABLE_MAX_ORDER
 
 
 def minus(g, h):
@@ -163,7 +162,7 @@ def test_inf_next_to_zeros_gives_nan():
     assert np.isnan(np.delete(out.real, 3)).all()  # inf * 0 at every other point
 
 
-@pytest.mark.parametrize("side", [16, 40])  # the cached table and per-factor blocks
+@pytest.mark.parametrize("side", [16, 40])  # below and above 1024 points
 def test_extraction_path_on_sparse_operands(side):
     """Enough kept terms per block that exact_sums extracts instead of calling fsum."""
     rng = np.random.default_rng(side)
@@ -182,9 +181,8 @@ CACHED, PER_FACTOR = [(7,), (4, 6), (2, 3, 5)], [(33, 32), (5, 7, 31)]
 
 @pytest.mark.parametrize("moduli", CACHED + PER_FACTOR)
 def test_differences_match_ravel(moduli):
-    """The cached difference table and the per-factor sums give the same indices."""
+    """Rows of every column and of a subset give the same indices, below and above 1024 points."""
     g = GroupSpec(moduli)
-    assert (g.order > _DIFFERENCE_TABLE_MAX_ORDER) == (moduli in PER_FACTOR)
     rng = np.random.default_rng(0)
     points = rng.choice(g.order, size=min(g.order, 20), replace=False)
     cols = rng.choice(g.order, size=min(g.order, 30), replace=False)

@@ -175,6 +175,25 @@ def test_op_calls_no_exact_function(monkeypatch):
     assert np.array_equal(got, want)
 
 
+def test_build_and_op_leave_the_sampling_functions_unread(monkeypatch):
+    """The op reads the betas only; the S_m are computed when ``functions`` is first read."""
+    transform, calls = sampling.analysis_transform, []
+
+    def counted(model, beta):
+        calls.append(beta)
+        return transform(model, beta)
+
+    monkeypatch.setattr(sampling, "analysis_transform", counted)
+    model, proc, f = _c4_setup()
+    kernels = proc.sampling_functions
+    semidirect_sample_and_reconstruct(model, proc, f)
+    assert calls == []
+    functions = kernels.functions
+    assert len(calls) == proc.n_channels and kernels.functions is functions
+    for beta, s_m in zip(kernels.betas, functions):
+        assert np.array_equal(s_m.flat(), transform(proc.model, beta).flat())
+
+
 @st.composite
 def subgroups(draw):
     ndim = draw(st.integers(1, 3))
