@@ -27,9 +27,8 @@ terms) are few; each is summed by ``math.fsum``, unless all its terms are
 exact zeros.  The convolution kernel sums only the products that can
 change a correctly rounded sum, skipping those with an exact-zero factor,
 and only the output points asked for (``convolve(a, x, at=indices)``, which
-``sample_matrix`` uses to evaluate the lattice points alone).  Its index rows,
-summed per batch from one table per cyclic factor, and its other block-sized
-work arrays live in a per-thread scratch of at most six arrays of 256 kB.
+``sample_matrix`` uses to evaluate the lattice points alone).  It builds no index
+table; its block-sized work arrays are a per-thread scratch of at most 5 x 256 kB.
 :func:`convolve_fft` is the
 fast path; it, :func:`convolve`, :func:`dft`, :func:`idft`, :func:`involution`
 and :func:`exact_norm_sq` work on stacks of sequences, the transforms through
@@ -63,8 +62,7 @@ _BLOCK_TERMS = 1 << 15
 
 _MIN_NORMAL = np.finfo(np.float64).tiny
 
-# The exact kernel's work arrays, kept per thread across blocks and calls: arrays
-# allocated per block would be memory that glibc trims on free and faults in again.
+# The exact kernel's work arrays, per thread and kept across calls: none is freed and refaulted
 _scratch = threading.local()
 
 
@@ -73,7 +71,7 @@ def _work(name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
     size, buffers = math.prod(shape), vars(_scratch)
     if size > _BLOCK_TERMS:
         return np.empty(shape, dtype)
-    if len(buffers.get(name, ())) < size:
+    if name not in buffers or len(buffers[name]) < size:
         buffers[name] = np.empty(size, dtype)
     return buffers[name][:size].reshape(shape)
 
@@ -155,12 +153,10 @@ def _exact_convolve(a_values: np.ndarray, x_values: np.ndarray, group: GroupSpec
     one bound on every product of the call: the product of the largest real
     or imaginary magnitudes of the two operands (NaN or inf when either has a
     non-finite entry or the product overflows, which leaves every row of
-    the block to ``math.fsum`` in :func:`exact_sums`).  The index rows (per batch
-    of blocks), the gathered a and the terms are this thread's reused work arrays.
+    the block to ``math.fsum`` in :func:`exact_sums`).
     """
     m_rows, n_cols, order = a_values.shape
     points = np.arange(order) if points is None else points
-    n_points = len(points)
     # rounding is monotone, so |fl(u * v)| <= fl(max|u| * max|v|); np.maximum keeps NaN
     bound = math.prod(float(np.maximum(np.abs(v.real).max(initial=0.0),
                                        np.abs(v.imag).max(initial=0.0)))
@@ -170,39 +166,36 @@ def _exact_convolve(a_values: np.ndarray, x_values: np.ndarray, group: GroupSpec
     if not nonzero.all() and np.isfinite(a_values).all():
         cols = np.flatnonzero(nonzero)
         x_values = x_values[..., cols]
-    # (M * N, order): np.take along the last axis gathers about twice as fast as indexing
-    a_parts = [np.ascontiguousarray(v).reshape(-1, order)
-               for v in (a_values.real, a_values.imag)]
+    # (re/im, M * N, order): np.take along the last axis gathers about twice as fast as indexing
+    a_parts = np.stack([a_values.real, a_values.imag]).reshape(2, -1, order)
     # x * -xi is -(x * xi) bitwise: rounding to nearest is symmetric in sign
     xr, xi, neg_xi = (np.ascontiguousarray(p) for p in
                       (x_values.real, x_values.imag, -x_values.imag))
     kept = x_values.shape[-1]
     row_terms = 2 * n_cols * kept
-    block = max(1, min(n_points, _BLOCK_TERMS // max(1, 2 * m_rows * row_terms)))
+    block = max(1, min(len(points), _BLOCK_TERMS // max(1, 2 * m_rows * row_terms)))
     batch = block * max(1, _BLOCK_TERMS // max(1, block * kept))  # points per index batch
     # terms[p, m, (re, im), part, n, h']: each (p, m, re/im) row is one sum,
     # and h' runs fastest, so the products stream over long contiguous rows
     terms = _work("terms", (block, m_rows, 2, 2, n_cols, kept))
-    out = np.empty((m_rows, n_points), dtype=np.complex128)
-    for start in range(0, n_points, block):
-        if start % batch == 0:
-            stop = min(start + batch, n_points)
-            batch_rows = group.differences(points[start:stop], cols,
-                                           _work("rows", (stop - start, kept), np.int64))
-        rows = batch_rows[start % batch:start % batch + block]
-        p = len(rows)
-        ar, ai = (np.take(part, rows, axis=1, mode="clip",
-                          out=_work(name, (len(part), *rows.shape)))
-                  .reshape(m_rows, n_cols, *rows.shape).transpose(2, 0, 1, 3)
-                  for part, name in zip(a_parts, ("a_re", "a_im")))
-        t = terms[:p]
-        np.multiply(ar, xr, out=t[:, :, 0, 0])
-        np.multiply(ai, neg_xi, out=t[:, :, 0, 1])
-        np.multiply(ar, xi, out=t[:, :, 1, 0])
-        np.multiply(ai, xr, out=t[:, :, 1, 1])
-        sums = exact_sums(t.reshape(p * m_rows * 2, row_terms), bound).reshape(p, m_rows, 2)
-        out.real[:, start:start + p] = sums[:, :, 0].T
-        out.imag[:, start:start + p] = sums[:, :, 1].T
+    out = np.empty((m_rows, len(points)), dtype=np.complex128)
+    for first in range(0, len(points), batch):
+        chunk = points[first:first + batch]
+        batch_rows = group.differences(chunk, cols, _work("rows", (len(chunk), kept), np.int64))
+        for start in range(0, len(chunk), block):
+            rows = batch_rows[start:start + block]
+            p, at = len(rows), first + start
+            ar, ai = (np.take(a_parts, rows, axis=2, mode="clip",
+                              out=_work("a", (*a_parts.shape[:2], *rows.shape)))
+                      .reshape(2, m_rows, n_cols, *rows.shape).transpose(0, 3, 1, 2, 4))
+            t = terms[:p]
+            np.multiply(ar, xr, out=t[:, :, 0, 0])
+            np.multiply(ai, neg_xi, out=t[:, :, 0, 1])
+            np.multiply(ar, xi, out=t[:, :, 1, 0])
+            np.multiply(ai, xr, out=t[:, :, 1, 1])
+            sums = exact_sums(t.reshape(p * m_rows * 2, row_terms), bound).reshape(p, m_rows, 2)
+            out.real[:, at:at + p] = sums[:, :, 0].T
+            out.imag[:, at:at + p] = sums[:, :, 1].T
     return out
 
 
@@ -286,18 +279,16 @@ class GroupSpec:
     def differences(self, points, cols, out: np.ndarray | None = None) -> np.ndarray:
         """Indices of h - g for h in ``points`` and g in ``cols``, one row per point.
 
-        ``points`` and ``cols`` are index arrays or slices of the enumeration.  A row
-        sums T_j[h_j, g_j] over the factors: the rows T_j[h_j] broadcast along factor
-        j's axis for every column, one ``np.take`` per factor for a subset.
+        ``points`` and ``cols`` are index arrays or slices of the enumeration.  A row sums
+        T_j[h_j, g_j] over the factors j, broadcast for every column, gathered for a subset.
         """
         h, g = self.coords_array[points], self.coords_array[cols]
         out = np.empty((len(h), len(g)), np.int64) if out is None else out
         every = isinstance(cols, slice) and cols == slice(None)
         grid = out.reshape(len(h), *(self.moduli if every else (len(g),)))
-        ones = (1,) * self.ndim
         for j, (table, u, v) in enumerate(zip(self._factor_differences, h.T, g.T)):
             if every:
-                part = table[u].reshape(len(u), *ones[:j], -1, *ones[j + 1:])
+                part = table[u].reshape(len(u), *(1,) * j, -1, *(1,) * (self.ndim - j - 1))
             else:  # from the smaller block of T_j: the points' rows or the columns
                 block, index, axis = (table[u], v, 1) if len(u) <= len(v) else (table[:, v], u, 0)
                 part = np.take(block, index, axis=axis, mode="clip",

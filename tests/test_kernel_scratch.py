@@ -82,3 +82,31 @@ def test_threads_get_the_bits_of_calls_made_alone():
             for i, value in enumerate(outputs):
                 want = alone[(k + i) % len(calls)]
                 assert np.array_equal(value.view(np.uint64), want.view(np.uint64))
+
+
+def test_zero_operand_as_the_first_call_on_a_thread():
+    """An all-zero operand asks for empty work arrays before this thread has any."""
+    rng = np.random.default_rng(3)
+    g, h = GroupSpec((4, 4)), GroupSpec((3, 5))
+    y = GroupSequence(g, _complex(rng, g.order))
+    system = SequenceMatrix(h, _complex(rng, (3, 2, h.order)))
+    calls = [lambda: convolve(GroupSequence.zeros(g), y).values,
+             lambda: convolve(y, GroupSequence.zeros(g)).values,
+             lambda: convolve(GroupSequence.zeros(g), y, at=np.arange(0, g.order, 3)),
+             lambda: apply(system, VectorSequence.zeros(h, 2)).values]
+    got = {}
+
+    def run(k):
+        try:
+            got[k] = calls[k]()
+        except Exception as error:  # reported below, with the call that raised it
+            got[k] = error
+
+    for k in range(len(calls)):  # one new thread per call, so each call is its thread's first
+        thread = threading.Thread(target=run, args=(k,))
+        thread.start()
+        thread.join(timeout=60)
+    assert len(got) == len(calls)
+    for k, value in got.items():
+        assert isinstance(value, np.ndarray), (k, value)
+        assert not value.any()
