@@ -18,6 +18,10 @@ outputs and prints them, encoded bit for bit, as one JSON object:
   on blocks of those shapes that mix dense rows with the rows the one-level
   certificate leaves open (:func:`open_rows_block`): as they are, scaled
   near underflow, and with an ``inf`` row and a NaN row;
+- ``json.dumps`` of the ``to_json_dict`` of a seeded ``GroupSequence``,
+  ``VectorSequence``, ``SequenceMatrix`` and ``TransferMatrix``, each built
+  from a transposed (F-ordered) array where it has more than one axis, and of
+  the Moore-Penrose ``LeftInverse`` of that system;
 - stdout, stderr and exit code of ``verify --all`` at seeds 0 to 9, of
   ``verify --all --seed 3 --inject-fault``, of ``analyze`` and ``roundtrip``
   on every bundled scenario (``roundtrip`` also with ``--left-inverse family``,
@@ -38,7 +42,15 @@ outputs and prints them, encoded bit for bit, as one JSON object:
   ``analyze`` of a directory and of a file holding the bytes ``ff fe``, and
   ``analyze identity.json --report .``.  Against a tree from before these
   exited 2, these three runs differ: there each ends in a traceback, the
-  last after the report has gone to stdout.
+  last after the report has gone to stdout.  Last, ``analyze`` and
+  ``roundtrip`` of configs whose ``system.rows`` is ``1.7``, ``true`` or
+  ``"1"``, or whose ``left_inverse.transfer`` has ``"rows": 1.5`` and
+  ``"cols": true``.  Against a tree from before these exited 2, these eight
+  runs differ by design: there ``int()`` accepts each, and the run exits 0.
+  The usage line that argparse prints with ``roundtrip identity.json --seed
+  -5`` lists the ``--left-inverse`` choices in the order of
+  ``sampling.LEFT_INVERSE_KINDS`` (``moore_penrose,mp,family,square``); a
+  tree from before that tuple lists ``mp`` first, and that run's stderr differs.
   A report on stdout is compared as the JSON it parses to, with every float as
   its exact hex and every object as its ordered key/value pairs, so that two
   layouts of the same values compare equal; any other stdout is compared as
@@ -73,6 +85,7 @@ ROUNDTRIP_OPTIONS = ((), ("--left-inverse", "family"), ("--left-inverse", "squar
 BAD_TOLERANCES = ("-1", "nan", "inf")
 BAD_TRANSFERS = ({"moduli": [4]}, 5)  # a dump without its values, and not an object
 UNREPRESENTABLE = "1e400"  # a JSON number that parses to inf, written into the file as is
+BAD_ROWS = (1.7, True, "1")  # system.rows values that are not integers
 GENERATED_SEEDS = range(3)
 GENERATED = "generated_finite_index.json"  # the file ``CliVerify.setup`` writes
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -173,6 +186,25 @@ def _kernel_outputs(out: dict) -> None:
             out[f"exact_sums/{shape}/{kind}"] = _encode(lambda: exact_sums(block))
 
 
+def _serializer_outputs(out: dict) -> None:
+    import numpy as np
+    import groupsampling as gs
+
+    rng = np.random.default_rng(1)
+
+    def draw(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    g = gs.GroupSpec((4, 3))
+    system = gs.SequenceMatrix(g, draw(g.order, 2, 3).T)  # F-ordered (3, 2, order)
+    for name, x in (("GroupSequence", gs.GroupSequence(g, draw(g.order))),
+                    ("VectorSequence", gs.VectorSequence(g, draw(g.order, 2).T)),
+                    ("SequenceMatrix", system),
+                    ("TransferMatrix", gs.TransferMatrix(g, draw(2, 3, g.order).T)),
+                    ("LeftInverse", gs.moore_penrose(system))):
+        out[f"to_json_dict/{name}"] = json.dumps(x.to_json_dict())
+
+
 def _bits(value):
     """A parsed report with each float as its exact hex and each object as ordered pairs."""
     if isinstance(value, float):
@@ -236,6 +268,13 @@ def _cli_outputs(out: dict, scenarios: Path) -> None:
         bad["scale_huge_int"] = {**identity, "left_inverse": {"kind": "family", "scale": 10 ** 400}}
         bad["seed_-5"] = {**identity, "seed": -5}
         bad["left_inverse_seed_-3"] = {**identity, "left_inverse": {"kind": "family", "seed": -3}}
+        system = {k: v for k, v in identity.items() if k != "probes"}
+        for k, rows in enumerate(BAD_ROWS):
+            bad[f"system_rows_{k}"] = {**system, "system": {
+                "moduli": [4], "rows": rows, "cols": 1,
+                "entries": [{"re": [1.0, 0.0, 0.0, 0.0], "im": [0.0] * 4}]}}
+        bad["transfer_rows_cols"] = {**identity, "left_inverse": {"kind": "family", "transfer": {
+            "moduli": [4], "rows": 1.5, "cols": True, "re": [[[1.0]]] * 4, "im": [[[0.0]]] * 4}}}
         for name, payload in bad.items():
             text = json.dumps(payload).replace(json.dumps(UNREPRESENTABLE), UNREPRESENTABLE)
             Path(f"{name}.json").write_text(text, encoding="utf-8")
@@ -258,6 +297,7 @@ def emit(src: Path) -> None:
     sys.path.append(str(PERFBENCH))  # for the benchmark's workload generators
     out: dict = {}
     _kernel_outputs(out)
+    _serializer_outputs(out)
     _cli_outputs(out, src / "groupsampling" / "scenarios")
     sys.stdout.write(json.dumps(out))
 

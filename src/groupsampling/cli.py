@@ -32,10 +32,10 @@ from .models import (SemidirectModel, analysis_transform, compose_group_law,
                      quasi_regular_apply, sample_matrix, semidirect_analysis,
                      semidirect_reduce, synthesize)
 from .report import render_report
-from .sampling import (FiniteIndexReduction, SamplingProcedure, finite_index_model,
-                       interpolation_check, make_procedure, reconstruct_coefficients,
-                       reconstruct_function, semidirect_sample_and_reconstruct,
-                       take_samples)
+from .sampling import (LEFT_INVERSE_KINDS, FiniteIndexReduction, SamplingProcedure,
+                       finite_index_model, interpolation_check, make_procedure,
+                       reconstruct_coefficients, reconstruct_function,
+                       semidirect_sample_and_reconstruct, take_samples)
 from .systems import TransferMatrix, VectorSequence, adjoint_system, apply, transfer
 
 REPORT_DIR_ENV = "GROUPSAMPLING_REPORT_DIR"
@@ -379,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="Seed for the coefficient draw (defaults to the "
                                 "config seed).")
     roundtrip.add_argument("--left-inverse", dest="left_inverse", default=None,
-                           choices=["mp", "moore_penrose", "family", "square"],
+                           choices=LEFT_INVERSE_KINDS,
                            help="Override the configured left-inverse kind.")
 
     verify = sub.add_parser("verify", parents=[output],

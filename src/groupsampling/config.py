@@ -17,6 +17,7 @@ from .errors import SchemaError
 from .frames import LEFT_INVERSE_RESIDUAL_TOL
 from .groups import GroupSequence, GroupSpec, ProductSubgroup
 from .models import SemidirectModel, TranslationModel
+from .sampling import LEFT_INVERSE_KINDS
 from .systems import SequenceMatrix, TransferMatrix
 
 DEFAULT_TOLERANCES = {
@@ -27,8 +28,6 @@ DEFAULT_TOLERANCES = {
     "semidirect_residual": 1e-8,
     "foundation": 1e-10,
 }
-
-_LEFT_INVERSE_KINDS = ("moore_penrose", "mp", "family", "square")
 
 
 def _require_keys(data: dict, allowed: set[str], required: set[str], where: str) -> None:
@@ -71,10 +70,18 @@ def _float_list(value, where: str) -> list[float]:
     return [_finite(v, where) for v in value]
 
 
+def _integer(value, where: str, least: int = 0) -> int:
+    """A JSON integer >= ``least``: no bool, float or string."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise SchemaError(f"{where}: expected an integer >= {least}, got {value!r}")
+    return value
+
+
 def _finite_values(data, where: str):
-    """A system or transfer payload with each number in its value lists through :func:`_finite`."""
+    """A system or transfer payload through :func:`_integer` (rows, cols) and :func:`_finite`."""
     if isinstance(data, dict):
-        return {k: _finite_values(v, where) if k in ("entries", "re", "im") else v
+        return {k: _finite_values(v, where) if k in ("entries", "re", "im")
+                else _integer(v, f"{where}.{k}", least=1) if k in ("rows", "cols") else v
                 for k, v in data.items()}
     if isinstance(data, list):
         return [_finite_values(v, where) if isinstance(v, (dict, list)) else _finite(v, where)
@@ -84,9 +91,7 @@ def _finite_values(data, where: str):
 
 def parse_seed(value, where: str) -> int:
     """A seed is an integer >= 0, as PCG64 needs; anything else is a configuration error."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise SchemaError(f"{where}: expected an integer >= 0, got {value!r}")
-    return value
+    return _integer(value, where)
 
 
 def parse_tolerance(value, where: str) -> float:
@@ -243,9 +248,9 @@ def parse_config(data: dict) -> ScenarioConfig:
         _require_keys(block, {"kind", "seed", "scale", "transfer"}, {"kind"},
                       "config.left_inverse")
         kind = block["kind"]
-        if kind not in _LEFT_INVERSE_KINDS:
+        if kind not in LEFT_INVERSE_KINDS:
             raise SchemaError(f"config.left_inverse.kind: expected one of "
-                              f"{_LEFT_INVERSE_KINDS}, got {kind!r}")
+                              f"{LEFT_INVERSE_KINDS}, got {kind!r}")
         seed = block.get("seed")
         if seed is not None:
             seed = parse_seed(seed, "config.left_inverse.seed")

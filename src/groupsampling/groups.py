@@ -29,10 +29,12 @@ change a correctly rounded sum, skipping those with an exact-zero factor,
 and only the output points asked for (``convolve(a, x, at=indices)``, which
 ``sample_matrix`` uses to evaluate the lattice points alone).  It builds no index
 table; its block-sized work arrays are a per-thread scratch of at most 5 x 256 kB.
-:func:`convolve_fft` is the
-fast path; it, :func:`convolve`, :func:`dft`, :func:`idft`, :func:`involution`
-and :func:`exact_norm_sq` work on stacks of sequences, the transforms through
-``GroupSpec.fft`` and ``GroupSpec.ifft``.
+:func:`convolve_fft` is the fast path; it, :func:`convolve`, :func:`dft`, :func:`idft`,
+:func:`involution` and :func:`exact_norm_sq` work on stacks of sequences, the transforms
+through ``GroupSpec.fft`` and ``GroupSpec.ifft``.
+
+Sequences, stacks of them, systems and their transfer matrices share one base,
+:class:`GroupArray`, which keeps a read-only, C-ordered complex128 copy of the values.
 """
 
 from __future__ import annotations
@@ -376,26 +378,94 @@ def character_value(xi: Character, h: GroupElement) -> complex:
     return cmath.exp(2j * cmath.pi * frac)
 
 
-class GroupSequence:
+def _same_space(a, b, what: str) -> None:
+    """The mismatch rule of the values on a group: the same group and the same values shape."""
+    if a.group != b.group or a.values.shape != b.values.shape:
+        raise GroupMismatchError(f"{what}: {a.group.moduli} {a.values.shape} "
+                                 f"vs {b.group.moduli} {b.values.shape}")
+
+
+class GroupArray:
+    """Read-only complex values on a group: the storage of every value container.
+
+    The values are copied into a C-ordered complex128 array, which the class's
+    :meth:`_shaped` checks and reshapes, and frozen.  A subclass's ``_caches``
+    name its cache slots, each ``None`` until first filled.
+    """
+
+    __slots__ = ("group", "values")
+    _caches: tuple[str, ...] = ()
+
+    def __init__(self, group: GroupSpec, values) -> None:
+        arr = self._shaped(np.array(values, dtype=np.complex128, order="C"), group)
+        arr.setflags(write=False)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "values", arr)
+        for name in self._caches:
+            object.__setattr__(self, name, None)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @staticmethod
+    def _shaped(arr: np.ndarray, group: GroupSpec) -> np.ndarray:
+        """The stack rule: one sequence as a row, or a 2-D stack of at least one row."""
+        arr = arr[None, :] if arr.ndim == 1 else arr
+        if arr.ndim != 2 or arr.shape[1] != group.order or arr.shape[0] < 1:
+            raise ValueError(f"expected (N, {group.order}) values for group {group.moduli}, "
+                             f"got shape {arr.shape}")
+        return arr
+
+
+class _Sequence(GroupArray):
+    """The algebra of a sequence, or of a stack of them, on a group."""
+
+    __slots__ = ()
+
+    def shift(self, t: GroupElement | int):
+        """Translate: (T_t x)(g) = x(g - t)."""
+        idx = int(t) if isinstance(t, (int, np.integer)) else t.index
+        return type(self)(self.group, self.values[..., self.group.translation_perm(idx)])
+
+    def norm_sq(self) -> float:
+        return exact_norm_sq(self.values.ravel())
+
+    def norm(self) -> float:
+        return math.sqrt(self.norm_sq())
+
+    def inner(self, other) -> complex:
+        _same_space(self, other, "inner product across spaces")
+        return exact_inner(self.values, other.values)
+
+    def __add__(self, other):
+        _same_space(self, other, "cannot add values from different spaces")
+        return type(self)(self.group, self.values + other.values)
+
+    def __sub__(self, other):
+        _same_space(self, other, "cannot subtract values from different spaces")
+        return type(self)(self.group, self.values - other.values)
+
+    def __mul__(self, scalar: complex):
+        return type(self)(self.group, self.values * scalar)
+
+    __rmul__ = __mul__
+
+
+class GroupSequence(_Sequence):
     """A complex-valued function on a finite abelian group.
 
     Values are stored in the group's mixed-radix row-major enumeration order
     and are read-only after construction.
     """
 
-    __slots__ = ("group", "values")
+    __slots__ = ()
 
-    def __init__(self, group: GroupSpec, values) -> None:
-        arr = np.asarray(values, dtype=np.complex128).reshape(-1).copy()
+    @staticmethod
+    def _shaped(arr: np.ndarray, group: GroupSpec) -> np.ndarray:
         if arr.size != group.order:
             raise ValueError(
                 f"expected {group.order} values for group {group.moduli}, got {arr.size}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "values", arr)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError("GroupSequence is immutable")
+        return arr.reshape(-1)
 
     @classmethod
     def zeros(cls, group: GroupSpec) -> GroupSequence:
@@ -410,34 +480,6 @@ class GroupSequence:
     def at(self, h: GroupElement) -> complex:
         _same_group(self.group, h.group, "evaluation point on a different group")
         return complex(self.values[h.index])
-
-    def shift(self, t: GroupElement | int) -> GroupSequence:
-        """Translate: (T_t x)(g) = x(g - t)."""
-        idx = int(t) if isinstance(t, (int, np.integer)) else t.index
-        return GroupSequence(self.group, self.values[self.group.translation_perm(idx)])
-
-    def norm_sq(self) -> float:
-        return exact_norm_sq(self.values)
-
-    def norm(self) -> float:
-        return math.sqrt(self.norm_sq())
-
-    def inner(self, other: GroupSequence) -> complex:
-        _same_group(self.group, other.group, "inner product across groups")
-        return exact_inner(self.values, other.values)
-
-    def __add__(self, other: GroupSequence) -> GroupSequence:
-        _same_group(self.group, other.group, "cannot add sequences on different groups")
-        return GroupSequence(self.group, self.values + other.values)
-
-    def __sub__(self, other: GroupSequence) -> GroupSequence:
-        _same_group(self.group, other.group, "cannot subtract sequences on different groups")
-        return GroupSequence(self.group, self.values - other.values)
-
-    def __mul__(self, scalar: complex) -> GroupSequence:
-        return GroupSequence(self.group, self.values * scalar)
-
-    __rmul__ = __mul__
 
     def to_json_dict(self) -> dict:
         return {

@@ -23,8 +23,8 @@ import numpy as np
 from .errors import (CapExceededError, DimensionMismatchError, FrameConditionError,
                      GroupMismatchError)
 from .frames import DEFAULT_ORACLE_CAP, RANK_RTOL, _spectral_gram
-from .groups import (GroupElement, GroupSequence, GroupSpec, ProductSubgroup, convolve,
-                     involution)
+from .groups import (GroupArray, GroupElement, GroupSequence, GroupSpec, ProductSubgroup,
+                     _same_space, convolve, involution)
 from .systems import SequenceMatrix, VectorSequence
 
 _ROTATION_SETS = {
@@ -34,7 +34,7 @@ _ROTATION_SETS = {
 }
 
 
-class FunctionOnG:
+class FunctionOnG(GroupArray):
     """A function table on a finite group, optionally with rotation sectors.
 
     Translation scenarios produce single-sector tables indexed by the group;
@@ -42,22 +42,7 @@ class FunctionOnG:
     group x rotations.
     """
 
-    __slots__ = ("group", "values")
-
-    def __init__(self, group: GroupSpec, values) -> None:
-        arr = np.asarray(values, dtype=np.complex128)
-        if arr.ndim == 1:
-            arr = arr[None, :]
-        if arr.ndim != 2 or arr.shape[1] != group.order:
-            raise ValueError(
-                f"expected (sectors, {group.order}) values, got shape {arr.shape}")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "values", arr)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError("FunctionOnG is immutable")
+    __slots__ = ()  # values: the stack rule, GroupArray._shaped
 
     @property
     def sectors(self) -> int:
@@ -72,20 +57,11 @@ class FunctionOnG:
         return self.values[0]
 
     def __sub__(self, other: FunctionOnG) -> FunctionOnG:
-        if self.group != other.group or self.sectors != other.sectors:
-            raise GroupMismatchError("functions live on different domains")
+        _same_space(self, other, "functions live on different domains")
         return FunctionOnG(self.group, self.values - other.values)
 
     def max_abs(self) -> float:
         return float(np.abs(self.values).max())
-
-    def to_json_dict(self) -> dict:
-        return {
-            "moduli": list(self.group.moduli),
-            "sectors": [
-                {"re": row.real.tolist(), "im": row.imag.tolist()} for row in self.values
-            ],
-        }
 
 
 @dataclass(eq=False)
@@ -345,15 +321,6 @@ class SemidirectModel:
                 f"got {self.lattice.strides}")
         if self.phi.group != self.torus or self.varphi.group != self.torus:
             raise GroupMismatchError("window and base generator must live on the torus")
-        self._check_lattice_invariance()
-
-    def _check_lattice_invariance(self) -> None:
-        lattice_points = set(self.lattice.embedding_indices.tolist())
-        coords = self.torus.coords_array[sorted(lattice_points)]
-        for gamma in self.rotations:
-            rotated = self.torus.ravel(coords @ gamma.T)
-            if set(rotated.tolist()) != lattice_points:
-                raise ValueError("a rotation does not map the lattice onto itself")
 
     @property
     def n_rotations(self) -> int:
@@ -371,16 +338,6 @@ class SemidirectModel:
             if arr.shape == (2, 2) and np.array_equal(arr, m):
                 return i
         raise ValueError(f"rotation {arr.tolist()} is not in the group {self.gamma_label}")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "type": "semidirect",
-            "moduli": list(self.torus.moduli),
-            "Gamma": self.gamma_label,
-            "H_strides": list(self.lattice.strides),
-            "phi": self.phi.to_json_dict(),
-            "varphi": self.varphi.to_json_dict(),
-        }
 
 
 def rotate_sequence(model: SemidirectModel, gamma, f: GroupSequence) -> GroupSequence:

@@ -62,26 +62,21 @@ class SamplingProcedure:
     def sampling_functions(self) -> SamplingFunctions:
         return build_sampling_functions(self)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "model": self.model.to_json_dict(),
-            "system": self.system.to_json_dict(),
-            "diagnostics": self.diag.to_json_dict(),
-            "dual": self.dual.to_json_dict(),
-        }
+
+LEFT_INVERSE_KINDS = ("moore_penrose", "mp", "family", "square")  # "mp" = "moore_penrose"
 
 
 def _resolve_dual(system: SequenceMatrix, left_inverse: str,
                   c: TransferMatrix | None, tol: float | None) -> LeftInverse:
-    if left_inverse in ("moore_penrose", "mp"):
-        return moore_penrose(system, tol)
+    if left_inverse not in LEFT_INVERSE_KINDS:
+        raise ValueError(f"unknown left inverse kind {left_inverse!r}")
     if left_inverse == "family":
         if c is None:
             raise ValueError("family left inverse needs the parameter matrices")
         return left_inverse_family(system, c, tol)
     if left_inverse == "square":
         return square_inverse(system, tol)
-    raise ValueError(f"unknown left inverse kind {left_inverse!r}")
+    return moore_penrose(system, tol)
 
 
 def make_procedure(model: TranslationModel,

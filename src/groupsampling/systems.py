@@ -15,45 +15,25 @@ it, so every stability verdict on one system shares one eigen-solve.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import DimensionMismatchError, GroupMismatchError
-from .groups import (GroupElement, GroupSequence, GroupSpec, _exact_convolve, exact_inner,
-                     exact_norm_sq)
+from .groups import (GroupArray, GroupElement, GroupSequence, GroupSpec, _exact_convolve,
+                     _same_space, _Sequence)
 
 
-class VectorSequence:
+class VectorSequence(_Sequence):
     """An element of the N-fold product of sequence spaces over one group."""
 
-    __slots__ = ("group", "values")
-
-    def __init__(self, group: GroupSpec, values) -> None:
-        arr = np.asarray(values, dtype=np.complex128)
-        if arr.ndim == 1:
-            arr = arr[None, :]
-        if arr.ndim != 2 or arr.shape[1] != group.order or arr.shape[0] < 1:
-            raise ValueError(
-                f"expected (N, {group.order}) values for group {group.moduli}, "
-                f"got shape {arr.shape}")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "values", arr)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError("VectorSequence is immutable")
+    __slots__ = ()  # values: the stack rule, GroupArray._shaped
 
     @classmethod
     def from_components(cls, components: list[GroupSequence]) -> VectorSequence:
         if not components:
             raise ValueError("need at least one component")
-        group = components[0].group
         for c in components[1:]:
-            if c.group != group:
-                raise GroupMismatchError("components live on different groups")
-        return cls(group, np.stack([c.values for c in components]))
+            _same_space(components[0], c, "components live on different groups")
+        return cls(components[0].group, np.stack([c.values for c in components]))
 
     @classmethod
     def zeros(cls, group: GroupSpec, n: int) -> VectorSequence:
@@ -65,36 +45,6 @@ class VectorSequence:
 
     def component(self, n: int) -> GroupSequence:
         return GroupSequence(self.group, self.values[n])
-
-    def shift(self, t: GroupElement | int) -> VectorSequence:
-        idx = int(t) if isinstance(t, (int, np.integer)) else t.index
-        return VectorSequence(self.group, self.values[:, self.group.translation_perm(idx)])
-
-    def norm_sq(self) -> float:
-        return exact_norm_sq(self.values.ravel())
-
-    def norm(self) -> float:
-        return math.sqrt(self.norm_sq())
-
-    def inner(self, other: VectorSequence) -> complex:
-        if self.group != other.group or self.n_components != other.n_components:
-            raise GroupMismatchError("inner product needs matching spaces")
-        return exact_inner(self.values, other.values)
-
-    def __add__(self, other: VectorSequence) -> VectorSequence:
-        if self.group != other.group or self.n_components != other.n_components:
-            raise GroupMismatchError("cannot add vectors from different spaces")
-        return VectorSequence(self.group, self.values + other.values)
-
-    def __sub__(self, other: VectorSequence) -> VectorSequence:
-        if self.group != other.group or self.n_components != other.n_components:
-            raise GroupMismatchError("cannot subtract vectors from different spaces")
-        return VectorSequence(self.group, self.values - other.values)
-
-    def __mul__(self, scalar: complex) -> VectorSequence:
-        return VectorSequence(self.group, self.values * scalar)
-
-    __rmul__ = __mul__
 
     def to_json_dict(self) -> dict:
         return {
@@ -112,25 +62,20 @@ class VectorSequence:
         return cls(group, np.stack(rows))
 
 
-class TransferMatrix:
+class TransferMatrix(GroupArray):
     """Per-character complex matrices: one rows x cols matrix for each character."""
 
     # _spectrum: None until ``frames`` stores the read-only spectrum of the matrices
-    __slots__ = ("group", "matrices", "_spectrum")
+    __slots__ = _caches = ("_spectrum",)
 
-    def __init__(self, group: GroupSpec, matrices) -> None:
-        arr = np.asarray(matrices, dtype=np.complex128)
+    @staticmethod
+    def _shaped(arr: np.ndarray, group: GroupSpec) -> np.ndarray:
         if arr.ndim != 3 or arr.shape[0] != group.order:
             raise ValueError(
                 f"expected ({group.order}, M, N) matrices, got shape {arr.shape}")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "matrices", arr)
-        object.__setattr__(self, "_spectrum", None)
+        return arr
 
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError("TransferMatrix is immutable")
+    matrices = GroupArray.values  # the values, (order, rows, cols): one matrix per character
 
     @property
     def rows(self) -> int:
@@ -173,26 +118,17 @@ class TransferMatrix:
         return cls(group, arr)
 
 
-class SequenceMatrix:
+class SequenceMatrix(GroupArray):
     """An M x N grid of sequences over one group, acting by matrix convolution."""
 
-    __slots__ = ("group", "values", "_transfer")
+    __slots__ = _caches = ("_transfer",)
 
-    def __init__(self, group: GroupSpec, values) -> None:
-        arr = np.asarray(values, dtype=np.complex128)
-        if arr.ndim != 3 or arr.shape[2] != group.order:
-            raise ValueError(
-                f"expected (M, N, {group.order}) entries, got shape {arr.shape}")
-        if arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError("system needs at least one row and one column")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "_transfer", None)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError("SequenceMatrix is immutable")
+    @staticmethod
+    def _shaped(arr: np.ndarray, group: GroupSpec) -> np.ndarray:
+        if arr.ndim != 3 or arr.shape[2] != group.order or 0 in arr.shape[:2]:
+            raise ValueError(f"expected (M, N, {group.order}) entries with M, N >= 1, "
+                             f"got shape {arr.shape}")
+        return arr
 
     @classmethod
     def identity(cls, group: GroupSpec, n: int) -> SequenceMatrix:

@@ -119,6 +119,32 @@ def test_malformed_transfer_exits_two(transfer, tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+_ENTRIES = [{"re": [1.0, 0.0, 0.0, 0.0], "im": [0.0] * 4}]
+
+
+@pytest.mark.parametrize("changes, key", [
+    *[({"system": {"moduli": [4], "rows": rows, "cols": 1, "entries": _ENTRIES}},
+       "config.system.rows") for rows in (1.7, True, "1", 0)],
+    ({"system": {"moduli": [4], "rows": 1, "cols": 1.0, "entries": _ENTRIES}},
+     "config.system.cols"),
+    ({"left_inverse": {"kind": "family", "transfer": {
+        "moduli": [4], "rows": 1.5, "cols": True, "re": [[[1.0]]] * 4, "im": [[[0.0]]] * 4}}},
+     "config.left_inverse.transfer.rows"),
+])
+@pytest.mark.parametrize("command", ["analyze", "roundtrip"])
+def test_rows_and_cols_must_be_integers(command, changes, key, tmp_path, capsys):
+    payload = json.loads(Path(SCENARIOS["identity"]).read_text(encoding="utf-8"))
+    if "system" in changes:  # a config gives probes or a system, not both
+        del payload["probes"]
+    payload.update(changes)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli([command, str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {key}: expected an integer >= 1, got ")
+    assert err.count("\n") == 1
+
+
 def test_config_holds_the_parsed_transfer():
     payload = json.loads(Path(SCENARIOS["identity"]).read_text(encoding="utf-8"))
     transfer = {"moduli": [4], "rows": 1, "cols": 1,
