@@ -4,7 +4,8 @@
     python bench/stages.py --out BENCH.json --label parent --src /path/to/other/checkout/src
 
 Times ``exact_sums`` on the block shapes the benchmark's workloads sum
-((16, 2048), (64, 512), (28, 1152) and (30, 1024), products of normal
+((16, 2048), (64, 512), (28, 1152) and (30, 1024)) and on (100, 288), the blocks
+of ``verify``'s stacked 25-pair Z12 x Z12 convolve, filled with products of normal
 draws, and the same shapes with the open rows of
 ``compare_trees.open_rows_block``: zero, cancelling, tied and subnormal
 sums); ``convolve`` and ``apply`` (a 3x2 system) on square tori of order 64,
@@ -62,7 +63,8 @@ from time import perf_counter
 from compare_trees import open_rows_block
 
 REPEATS = 15
-BLOCK_SHAPES = ((16, 2048), (64, 512), (28, 1152), (30, 1024))  # exact_sums blocks
+# exact_sums blocks; (100, 288) is the largest single cost of verify --all
+BLOCK_SHAPES = ((16, 2048), (64, 512), (28, 1152), (30, 1024), (100, 288))
 SIDES = (8, 16, 32, 48)  # square tori: |G| = 64, 256, 1024, 2304
 COLD_SIDES = (16, 32, 48)  # |G| = 256, 1024, 2304, on a new GroupSpec per call
 VERDICT_SIDES = SIDES + (64,)  # and |G| = 4096

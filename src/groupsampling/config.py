@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import SchemaError, json_integer
 from .frames import LEFT_INVERSE_RESIDUAL_TOL
 from .groups import GroupSequence, GroupSpec, ProductSubgroup
 from .models import SemidirectModel, TranslationModel
@@ -70,18 +70,11 @@ def _float_list(value, where: str) -> list[float]:
     return [_finite(v, where) for v in value]
 
 
-def _integer(value, where: str, least: int = 0) -> int:
-    """A JSON integer >= ``least``: no bool, float or string."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise SchemaError(f"{where}: expected an integer >= {least}, got {value!r}")
-    return value
-
-
 def _finite_values(data, where: str):
-    """A system or transfer payload through :func:`_integer` (rows, cols) and :func:`_finite`."""
+    """A system or transfer payload through ``json_integer`` (rows, cols) and :func:`_finite`."""
     if isinstance(data, dict):
         return {k: _finite_values(v, where) if k in ("entries", "re", "im")
-                else _integer(v, f"{where}.{k}", least=1) if k in ("rows", "cols") else v
+                else json_integer(v, f"{where}.{k}", least=1) if k in ("rows", "cols") else v
                 for k, v in data.items()}
     if isinstance(data, list):
         return [_finite_values(v, where) if isinstance(v, (dict, list)) else _finite(v, where)
@@ -91,7 +84,7 @@ def _finite_values(data, where: str):
 
 def parse_seed(value, where: str) -> int:
     """A seed is an integer >= 0, as PCG64 needs; anything else is a configuration error."""
-    return _integer(value, where)
+    return json_integer(value, where)
 
 
 def parse_tolerance(value, where: str) -> float:

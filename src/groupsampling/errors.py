@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one integer rule of its payloads."""
 
 from __future__ import annotations
 
@@ -40,4 +40,11 @@ class CapExceededError(RuntimeError):
 
 
 class SchemaError(ValueError):
-    """A scenario configuration failed validation."""
+    """A scenario configuration or a JSON payload failed validation."""
+
+
+def json_integer(value, where: str, least: int = 0) -> int:
+    """A JSON integer >= ``least``: no bool, float or string."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise SchemaError(f"{where}: expected an integer >= {least}, got {value!r}")
+    return value

@@ -21,14 +21,16 @@ floating-point summation part I", SIAM J. Sci. Comput. 31(1), 2008).  One
 extraction level with one error bound for the whole block certifies the
 rounding of almost every row (part II: "sign, K-fold faithful and rounding
 to nearest", 31(2), 2008); the convolution kernel takes that bound from the
-largest magnitudes of its operands.  The rows the certificate leaves open
+largest magnitudes of its operands.  The level's two row sums are BLAS
+products with a vector of ones: any order sums the extracted parts exactly,
+and the bound on the remainder sum holds for any order.  The rows the certificate leaves open
 (ties, sums near a rounding boundary, zero or subnormal sums, non-finite
 terms) are few; each is summed by ``math.fsum``, unless all its terms are
 exact zeros.  The convolution kernel sums only the products that can
 change a correctly rounded sum, skipping those with an exact-zero factor,
 and only the output points asked for (``convolve(a, x, at=indices)``, which
 ``sample_matrix`` uses to evaluate the lattice points alone).  It builds no index
-table; its block-sized work arrays are a per-thread scratch of at most 5 x 256 kB.
+table; its block-sized work arrays are a per-thread scratch of at most 6 x 256 kB.
 :func:`convolve_fft` is the fast path; it, :func:`convolve`, :func:`dft`, :func:`idft`,
 :func:`involution` and :func:`exact_norm_sq` work on stacks of sequences, the transforms
 through ``GroupSpec.fft`` and ``GroupSpec.ifft``.
@@ -51,15 +53,15 @@ import numpy as np
 from .errors import DimensionMismatchError, GroupMismatchError
 
 # Below this many terms in all, one math.fsum per row beats the certified
-# extraction level of exact_sums, whose numpy calls cost a fixed 20-33 us: one
-# 500-term row took 17-19 us by fsum and 19-20 us by extraction, one 1000-term
-# row 52-58 us against 22-33 us, and the two met near 800 terms.
+# extraction level of exact_sums, whose numpy calls cost a fixed 20-21 us: fsum
+# took 14, 23 and 37 us for 300, 500 and 800 terms, so the two meet at 450-600
+# terms, and only 6 of the 24,000 sums of bench/stages.py have 450-800 terms.
 _FSUM_BELOW = 800
 
 # Terms gathered per block of output points in _exact_convolve: 256 kB, so
 # that the terms and the work array of exact_sums stay in a 2 MB L2 cache.
-# On Z32 x Z32 a dense convolve took 31-33 ms with 2^14 terms, 22-23 ms with
-# 2^15 and 19 ms with 2^16, which would double the largest buffer.
+# With 2^14, 2^15 and 2^16 terms a dense Z32 x Z32 convolve took 18.5, 16.0 and
+# 15.8 ms, a 3x2 apply on Z16 x Z16 7.5, 6.0 and 5.5 ms: 2^16 saves 1-9%.
 _BLOCK_TERMS = 1 << 15
 
 _MIN_NORMAL = np.finfo(np.float64).tiny
@@ -85,24 +87,27 @@ def _fsum_rows(terms: np.ndarray) -> np.ndarray:
 def exact_sums(terms: np.ndarray, bound: float | None = None) -> np.ndarray:
     """Correctly rounded sum of each row of a (B, K) float64 array.
 
-    The result is bitwise that of ``math.fsum`` over each row.  ``bound`` is
-    no smaller than any |term| (default: the largest |term|).  Large inputs
-    take one level of error-free extraction for the whole block (Rump, Ogita
-    and Oishi, "Accurate floating-point summation part I", SIAM J. Sci.
-    Comput. 31(1), 2008): with bound < 2^e, 2^m >= K + 2 and
-    sigma = 2^(e + m + 1), the parts q = (t + sigma) - sigma and their row sum
-    S are exact, the remainders r = t - q are exact with |r| <= 2^(e + m - 52),
-    and R = fl(sum r) is within B = 2^(e + 1 + 3m - 105) of sum r in any
-    summation order.  The row sum is then c + err + (sum r - R), where
-    c = fl(S + R) and err is its TwoSum error, so c is the correctly rounded
-    row sum when c is normal and |err| < h - 2B, h being half the gap from c
-    to its neighbour on err's side (part II: "sign, K-fold faithful and
-    rounding to nearest", 31(2), 2008).  The test is strict, so it also
-    excludes ties.  Every other row (ties, sums near a rounding boundary,
-    zero or subnormal sums, non-finite terms, and every row of a block whose
-    bound is near overflow or underflow) is left open and summed by
-    ``math.fsum``; an open row of exact zeros of either sign is +0.0, as
-    ``math.fsum`` would return, without the call.  ``terms`` is left unchanged.
+    The result is bitwise that of ``math.fsum`` over each row.  ``bound`` is no smaller
+    than any |term| (default: the largest |term|).  Large inputs take one level of
+    error-free extraction for the whole block (Rump, Ogita and Oishi, "Accurate
+    floating-point summation part I", SIAM J. Sci. Comput. 31(1), 2008): with
+    bound < 2^e, 2^m >= K + 2 and sigma = 2^(e + m + 1), the parts
+    q = (t + sigma) - sigma are multiples of 2^(e + m - 52) of magnitude at most 2^e,
+    so every partial sum of K parts is a double and their row sum S is exact in any
+    order; the remainders r = t - q are exact, |r| <= 2^(e + m - 52), and
+    R = fl(sum r) is within B = 2^(e + 1 + 3m - 105) of sum r in any order: so S and
+    R are BLAS products with ones.  The row sum is c + err + (sum r - R), where
+    c = fl(S + R) and err is its TwoSum error, so c is the correctly rounded row sum
+    when c is normal and |err| < h - 2B, h being half the gap
+    |nextafter(c, copysign(inf, err)) - c| from c to its neighbour on err's side
+    (part II: "sign, K-fold faithful and rounding to nearest", 31(2), 2008).  For a
+    normal c that gap is exact: an ulp of c, or half of one toward zero from a power
+    of two; an err of +0 or -0 takes its sign's side.  The test is strict, so it
+    also excludes ties.  Every other row (ties, sums near a rounding boundary, zero
+    or subnormal sums, non-finite terms, and every row of a block whose bound is
+    near overflow or underflow) is left open and summed by ``math.fsum``; an open
+    row of exact zeros of either sign is +0.0, as ``math.fsum`` would return,
+    without the call.  ``terms`` is left unchanged.
     """
     if terms.size < _FSUM_BELOW:
         return _fsum_rows(terms)
@@ -115,15 +120,14 @@ def exact_sums(terms: np.ndarray, bound: float | None = None) -> np.ndarray:
         sigma = math.ldexp(1.0, e + m + 1)
         q = np.add(terms, sigma, out=_work("q", terms.shape))
         q -= sigma
-        s = q.sum(axis=1)
-        r = np.subtract(terms, q, out=q).sum(axis=1)
+        ones = _work("ones", terms.shape[1:])
+        ones.fill(1.0)
+        s = q @ ones
+        r = np.subtract(terms, q, out=q) @ ones
         c = s + r
         z = c - s
         err = (s - (c - z)) + (r - z)
-        frac, exp = np.frexp(c)
-        # at a power of two the gap toward zero is half the gap away from it
-        toward_zero = (np.abs(frac) == 0.5) & (np.signbit(err) != np.signbit(c))
-        half_gap = np.ldexp(1.0, exp - 54 - toward_zero)
+        half_gap = np.abs(np.nextafter(c, np.copysign(np.inf, err)) - c) / 2
         certified = (np.abs(c) >= _MIN_NORMAL) & (
             np.abs(err) < half_gap - math.ldexp(1.0, e + 3 * m - 103))
     else:  # every row is left open
@@ -144,20 +148,21 @@ def _exact_convolve(a_values: np.ndarray, x_values: np.ndarray, group: GroupSpec
     out[m, i] = sum over (n, h') of a[m, n, h - h'] * x[n, h'] at h = points[i]
     (every point by default) for an (M, N, order) ``a_values`` and an
     (N, order) ``x_values``, or with x[m, n, h'] for an (M, N, order) one, an
-    operand per output row.  Each output point is one correctly rounded sum,
-    so any regrouping of the same index set (for instance the coset
-    regrouping used for finite-index sampling) produces bitwise identical
-    values.  Columns h' where every component of every row of x is an exact
-    zero are skipped when every entry of a is finite: their products are exact
-    zeros, which no correctly rounded sum sees (``math.fsum`` drops zeros of
-    either sign), while a non-finite a must still meet them, as inf * 0 is NaN.
-    Blocks of output points are summed together by :func:`exact_sums`, with
-    one bound on every product of the call: the product of the largest real
-    or imaginary magnitudes of the two operands (NaN or inf when either has a
-    non-finite entry or the product overflows, which leaves every row of
-    the block to ``math.fsum`` in :func:`exact_sums`).
+    operand per output row, which a (1, N, order) ``a_values`` also takes.  Each
+    output point is one correctly rounded sum, so any regrouping of the same
+    index set (for instance the coset regrouping used for finite-index
+    sampling) produces bitwise identical values.  Columns h' where every
+    component of every row of x is an exact zero are skipped when every entry
+    of a is finite: their products are exact zeros, which no correctly rounded
+    sum sees (``math.fsum`` drops zeros of either sign), while a non-finite a
+    must still meet them, as inf * 0 is NaN.  Blocks of output points are
+    summed together by :func:`exact_sums`, with one bound on every product of
+    the call: the product of the largest real or imaginary magnitudes of the
+    two operands (NaN or inf when either has a non-finite entry or the product
+    overflows, which leaves every row of the block to ``math.fsum`` in
+    :func:`exact_sums`).
     """
-    m_rows, n_cols, order = a_values.shape
+    m_rows, n_cols, order = np.broadcast_shapes(a_values.shape, x_values.shape)
     points = np.arange(order) if points is None else points
     # rounding is monotone, so |fl(u * v)| <= fl(max|u| * max|v|); np.maximum keeps NaN
     bound = math.prod(float(np.maximum(np.abs(v.real).max(initial=0.0),
@@ -168,11 +173,11 @@ def _exact_convolve(a_values: np.ndarray, x_values: np.ndarray, group: GroupSpec
     if not nonzero.all() and np.isfinite(a_values).all():
         cols = np.flatnonzero(nonzero)
         x_values = x_values[..., cols]
-    # (re/im, M * N, order): np.take along the last axis gathers about twice as fast as indexing
+    # (re/im, rows of a, order): np.take along the last axis gathers twice as fast as indexing
     a_parts = np.stack([a_values.real, a_values.imag]).reshape(2, -1, order)
-    # x * -xi is -(x * xi) bitwise: rounding to nearest is symmetric in sign
-    xr, xi, neg_xi = (np.ascontiguousarray(p) for p in
-                      (x_values.real, x_values.imag, -x_values.imag))
+    # [[xr, -xi], [xi, xr]] on (re/im, part); a * -xi = -(a * xi): rounding is sign-symmetric
+    xr, xi = x_values.real, x_values.imag
+    x_parts = np.stack([np.stack([xr, -xi], -3), np.stack([xi, xr], -3)], -4)
     kept = x_values.shape[-1]
     row_terms = 2 * n_cols * kept
     block = max(1, min(len(points), _BLOCK_TERMS // max(1, 2 * m_rows * row_terms)))
@@ -187,14 +192,11 @@ def _exact_convolve(a_values: np.ndarray, x_values: np.ndarray, group: GroupSpec
         for start in range(0, len(chunk), block):
             rows = batch_rows[start:start + block]
             p, at = len(rows), first + start
-            ar, ai = (np.take(a_parts, rows, axis=2, mode="clip",
-                              out=_work("a", (*a_parts.shape[:2], *rows.shape)))
-                      .reshape(2, m_rows, n_cols, *rows.shape).transpose(0, 3, 1, 2, 4))
-            t = terms[:p]
-            np.multiply(ar, xr, out=t[:, :, 0, 0])
-            np.multiply(ai, neg_xi, out=t[:, :, 0, 1])
-            np.multiply(ar, xi, out=t[:, :, 1, 0])
-            np.multiply(ai, xr, out=t[:, :, 1, 1])
+            a = np.take(a_parts, rows, axis=2, mode="clip",
+                        out=_work("a", (*a_parts.shape[:2], *rows.shape)))
+            # (p, M or 1, 1, part, N, h'): the gathered a, broadcast over re/im
+            a = a.reshape(2, len(a_values), n_cols, p, kept).transpose(3, 1, 0, 2, 4)[:, :, None]
+            t = np.multiply(a, x_parts, out=terms[:p])
             sums = exact_sums(t.reshape(p * m_rows * 2, row_terms), bound).reshape(p, m_rows, 2)
             out.real[:, at:at + p] = sums[:, :, 0].T
             out.imag[:, at:at + p] = sums[:, :, 1].T

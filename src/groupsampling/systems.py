@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatchError, GroupMismatchError
+from .errors import DimensionMismatchError, GroupMismatchError, json_integer
 from .groups import (GroupArray, GroupElement, GroupSequence, GroupSpec, _exact_convolve,
                      _same_space, _Sequence)
 
@@ -113,7 +113,8 @@ class TransferMatrix(GroupArray):
     def from_json_dict(cls, data: dict) -> TransferMatrix:
         group = GroupSpec(tuple(data["moduli"]))
         arr = np.asarray(data["re"], dtype=float) + 1j * np.asarray(data["im"], dtype=float)
-        if arr.shape != (group.order, int(data["rows"]), int(data["cols"])):
+        m, n = (json_integer(data[k], k, least=1) for k in ("rows", "cols"))
+        if arr.shape != (group.order, m, n):
             raise ValueError("transfer matrix payload shape mismatch")
         return cls(group, arr)
 
@@ -171,7 +172,7 @@ class SequenceMatrix(GroupArray):
     @classmethod
     def from_json_dict(cls, data: dict) -> SequenceMatrix:
         group = GroupSpec(tuple(data["moduli"]))
-        m, n = int(data["rows"]), int(data["cols"])
+        m, n = (json_integer(data[k], k, least=1) for k in ("rows", "cols"))
         entries = data["entries"]
         if len(entries) != m * n:
             raise ValueError(f"expected {m * n} entries, got {len(entries)}")
@@ -190,7 +191,13 @@ def apply(a: SequenceMatrix, x: VectorSequence) -> VectorSequence:
     if a.cols != x.n_components:
         raise DimensionMismatchError(
             f"system has {a.cols} columns but vector has {x.n_components} components")
-    return VectorSequence(a.group, _exact_convolve(a.values, x.values, a.group))
+    av, xv = a.values, x.values
+    # a(h - h') x(h') is x(h - h') a(h'): gather x, the fewer sequences, and skip a's zero
+    # columns, unless x has more; only finite operands swap, so a NaN keeps its order's sign
+    if (np.isfinite(av).all() and np.isfinite(xv).all()
+            and np.count_nonzero(av.any(axis=(0, 1))) <= np.count_nonzero(xv.any(axis=0))):
+        av, xv = xv[None], av
+    return VectorSequence(a.group, _exact_convolve(av, xv, a.group))
 
 
 def transfer(a: SequenceMatrix) -> TransferMatrix:

@@ -104,6 +104,26 @@ def test_matches_fsum_bitwise(data):
     assert_as_fsum(terms, bound)
 
 
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_column_order_moves_no_bit(data):
+    """The part sum S is exact and the bound on R = fl(sum r) holds in every
+    summation order, which is what lets the row sums be BLAS products: the
+    columns in any order give the same bits."""
+    k = data.draw(st.sampled_from(ROW_LENGTHS))
+    kinds = data.draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=3))
+    spread = data.draw(st.integers(0, 48))
+    scale = 2.0 ** data.draw(st.sampled_from([0, -1000, -960]))  # and near underflow
+    slack = data.draw(st.sampled_from([None, 0, 3]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    terms = np.stack([build_row(kinds[i % len(kinds)], rng, k, spread, scale)
+                      for i in range(max(8, -(-_FSUM_BELOW // k)))])
+    bound = None if slack is None else float(np.abs(terms).max()) * 2.0 ** slack
+    shuffled = terms[:, rng.permutation(k)]
+    assert (outcome(lambda: groups.exact_sums(shuffled, bound))
+            == outcome(lambda: groups.exact_sums(terms, bound)))
+
+
 @pytest.mark.parametrize("k", [6, 62, 510, 2046])
 @pytest.mark.parametrize("spread", [0, 8, 16, 24, 32, 40])
 def test_rows_near_rounding_boundaries(k, spread):

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from groupsampling import (DimensionMismatchError, GroupSpec,
-                           SequenceMatrix, VectorSequence, adjoint_system, apply,
+from groupsampling import (DimensionMismatchError, GroupSpec, SchemaError,
+                           SequenceMatrix, TransferMatrix, VectorSequence, adjoint_system, apply,
                            compose, from_transfer, transfer)
 
 
@@ -215,3 +215,14 @@ class TestJson:
         x = rand_vector(rng, GroupSpec((3,)), 2)
         back = VectorSequence.from_json_dict(x.to_json_dict())
         np.testing.assert_array_equal(back.values, x.values)
+
+    @pytest.mark.parametrize("rows, cols", [(1.7, True), ("1", 1.9), (1, 1.0), (0, 1), (1, -1)])
+    @pytest.mark.parametrize("load, payload", [
+        (SequenceMatrix.from_json_dict, {"moduli": [4], "entries": [{"re": [1.0, 0.0, 0.0, 0.0]}]}),
+        (TransferMatrix.from_json_dict, {"moduli": [4], "re": [[[1.0]]] * 4, "im": [[[0.0]]] * 4}),
+    ], ids=["system", "transfer"])
+    def test_loaders_take_rows_and_cols_as_integers(self, load, payload, rows, cols):
+        """The loaders apply the config's integer rule themselves, without ``parse_config``."""
+        load({**payload, "rows": 1, "cols": 1})
+        with pytest.raises(SchemaError, match=r"expected an integer >= 1, got "):
+            load({**payload, "rows": rows, "cols": cols})
