@@ -47,6 +47,14 @@ outputs and prints them, encoded bit for bit, as one JSON object:
   ``"1"``, or whose ``left_inverse.transfer`` has ``"rows": 1.5`` and
   ``"cols": true``.  Against a tree from before these exited 2, these eight
   runs differ by design: there ``int()`` accepts each, and the run exits 0.
+  Then four configs that each class's ``from_json_dict`` or the resolved model
+  rejects: a system entry with an unknown ``imag`` key, a transfer with an
+  unknown ``note`` key, a system on ``Z_2`` for a model sampled on ``Z_4``, and
+  a 2 x 2 system for a one-generator model.  Against a tree from before these
+  exited 2, these eight runs differ: there the unknown keys are ignored and
+  the runs exit 0, the ``Z_2`` system's ``analyze`` exits 0 and its
+  ``roundtrip`` ends in a ``GroupMismatchError`` traceback, and the 2 x 2
+  system's ``analyze`` exits 1 and its ``roundtrip`` exits 2 with another message.
   The usage line that argparse prints with ``roundtrip identity.json --seed
   -5`` lists the ``--left-inverse`` choices in the order of
   ``sampling.LEFT_INVERSE_KINDS`` (``moore_penrose,mp,family,square``); a
@@ -275,6 +283,16 @@ def _cli_outputs(out: dict, scenarios: Path) -> None:
                 "entries": [{"re": [1.0, 0.0, 0.0, 0.0], "im": [0.0] * 4}]}}
         bad["transfer_rows_cols"] = {**identity, "left_inverse": {"kind": "family", "transfer": {
             "moduli": [4], "rows": 1.5, "cols": True, "re": [[[1.0]]] * 4, "im": [[[0.0]]] * 4}}}
+        entry = {"re": [1.0, 0.0, 0.0, 0.0], "im": [0.0] * 4}
+        for name, moduli, size, entries in (
+                ("system_entry_unknown_key", [4], 1, [{**entry, "imag": [0.0] * 4}]),
+                ("system_wrong_group", [2], 1, [{"re": [1.0, 0.0]}]),
+                ("system_wrong_cols", [4], 2, [entry] * 4)):
+            bad[name] = {**system, "system": {"moduli": moduli, "rows": size, "cols": size,
+                                              "entries": entries}}
+        bad["transfer_unknown_key"] = {**identity, "left_inverse": {"kind": "family", "transfer": {
+            "moduli": [4], "rows": 1, "cols": 1, "re": [[[1.0]]] * 4, "im": [[[0.0]]] * 4,
+            "note": "x"}}}
         for name, payload in bad.items():
             text = json.dumps(payload).replace(json.dumps(UNREPRESENTABLE), UNREPRESENTABLE)
             Path(f"{name}.json").write_text(text, encoding="utf-8")

@@ -76,6 +76,10 @@ class ScenarioRuntime:
             self.model = config.model
         self.system = (config.system if config.system is not None
                        else sample_matrix(self.model, config.probes))
+        habs, n = self.model.subgroup.abstract_group, self.model.n_generators
+        if (self.system.group, self.system.cols) != (habs, n):  # only a given system can miss
+            raise SchemaError(f"config.system: expected {n} columns on {list(habs.moduli)}, got "
+                              f"{self.system.cols} on {list(self.system.group.moduli)}")
 
     def build_procedure(self, left_kind: str | None = None,
                         tol: float | None = None) -> SamplingProcedure:

@@ -2,18 +2,19 @@
 
 Configurations are plain JSON.  Validation is strict: unknown keys anywhere
 raise :class:`SchemaError` before any numerics run, so typos fail fast with
-exit code 2 instead of silently changing a run.
+exit code 2 instead of silently changing a run.  The sequences, the ``system``
+and the ``left_inverse.transfer`` are read by their classes' ``from_json_dict``,
+with the payload rules of :mod:`.errors`; this module reads the rest.
 """
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SchemaError, json_integer
+from .errors import SchemaError, _finite, _int_list, _require_keys, json_integer
 from .frames import LEFT_INVERSE_RESIDUAL_TOL
 from .groups import GroupSequence, GroupSpec, ProductSubgroup
 from .models import SemidirectModel, TranslationModel
@@ -30,58 +31,6 @@ DEFAULT_TOLERANCES = {
 }
 
 
-def _require_keys(data: dict, allowed: set[str], required: set[str], where: str) -> None:
-    if not isinstance(data, dict):
-        raise SchemaError(f"{where}: expected an object, got {type(data).__name__}")
-    unknown = set(data) - allowed
-    if unknown:
-        raise SchemaError(f"{where}: unknown keys {sorted(unknown)}")
-    missing = required - set(data)
-    if missing:
-        raise SchemaError(f"{where}: missing keys {sorted(missing)}")
-
-
-def _int_list(value, where: str) -> tuple[int, ...]:
-    if not isinstance(value, list) or not value:
-        raise SchemaError(f"{where}: expected a non-empty list of integers")
-    out = []
-    for v in value:
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise SchemaError(f"{where}: expected integers, got {v!r}")
-        out.append(v)
-    return tuple(out)
-
-
-def _finite(value, where: str, expected: str = "finite numbers", least: float = -math.inf) -> float:
-    """A JSON number as a finite float >= ``least``: no bool, NaN, inf or int beyond the doubles."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:  # an int beyond the doubles
-            number = math.inf
-        if math.isfinite(number) and number >= least:
-            return number
-    raise SchemaError(f"{where}: expected {expected}, got {value!r}")
-
-
-def _float_list(value, where: str) -> list[float]:
-    if not isinstance(value, list):
-        raise SchemaError(f"{where}: expected a list of numbers")
-    return [_finite(v, where) for v in value]
-
-
-def _finite_values(data, where: str):
-    """A system or transfer payload through ``json_integer`` (rows, cols) and :func:`_finite`."""
-    if isinstance(data, dict):
-        return {k: _finite_values(v, where) if k in ("entries", "re", "im")
-                else json_integer(v, f"{where}.{k}", least=1) if k in ("rows", "cols") else v
-                for k, v in data.items()}
-    if isinstance(data, list):
-        return [_finite_values(v, where) if isinstance(v, (dict, list)) else _finite(v, where)
-                for v in data]
-    return data
-
-
 def parse_seed(value, where: str) -> int:
     """A seed is an integer >= 0, as PCG64 needs; anything else is a configuration error."""
     return json_integer(value, where)
@@ -90,19 +39,6 @@ def parse_seed(value, where: str) -> int:
 def parse_tolerance(value, where: str) -> float:
     """A tolerance is a finite number >= 0; anything else is a configuration error."""
     return _finite(value, where, "a finite number >= 0", least=0.0)
-
-
-def parse_sequence(data: dict, group: GroupSpec, where: str) -> GroupSequence:
-    _require_keys(data, {"moduli", "re", "im"}, {"moduli", "re"}, where)
-    moduli = _int_list(data["moduli"], f"{where}.moduli")
-    if moduli != group.moduli:
-        raise SchemaError(f"{where}: moduli {list(moduli)} do not match the "
-                          f"model group {list(group.moduli)}")
-    re = _float_list(data["re"], f"{where}.re")
-    im = _float_list(data.get("im", [0.0] * len(re)), f"{where}.im")
-    if len(re) != group.order or len(im) != group.order:
-        raise SchemaError(f"{where}: expected {group.order} values")
-    return GroupSequence(group, np.asarray(re) + 1j * np.asarray(im))
 
 
 @contextmanager
@@ -114,47 +50,33 @@ def _schema_errors(where: str):
         raise SchemaError(f"{where}: {exc}") from exc
 
 
-def _parse_group(data: dict, where: str) -> GroupSpec:
-    moduli = _int_list(data["moduli"], f"{where}.moduli")
-    with _schema_errors(f"{where}.moduli"):
-        return GroupSpec(moduli)
-
-
-def _parse_strides(data, group: GroupSpec, where: str) -> ProductSubgroup:
-    strides = _int_list(data, where)
-    with _schema_errors(where):
-        return ProductSubgroup(group, strides)
-
-
 def parse_model(data: dict, where: str = "model"):
     if not isinstance(data, dict) or "type" not in data:
         raise SchemaError(f"{where}: expected an object with a 'type' key")
     kind = data["type"]
+    extra = {"translation": {"generators"}, "semidirect": {"Gamma", "varphi"}}
+    if not isinstance(kind, str) or kind not in extra:
+        raise SchemaError(f"{where}.type: expected 'translation' or 'semidirect', got {kind!r}")
+    keys = {"type", "moduli", "H_strides", "phi", *extra[kind]}
+    _require_keys(data, keys, keys, where)
+    group = GroupSpec(_int_list(data["moduli"], f"{where}.moduli"))
+    strides = _int_list(data["H_strides"], f"{where}.H_strides")
+    with _schema_errors(f"{where}.H_strides"):
+        sub = ProductSubgroup(group, strides)
+    phi = GroupSequence.from_json_dict(data["phi"], f"{where}.phi", group)
     if kind == "translation":
-        _require_keys(data, {"type", "moduli", "H_strides", "phi", "generators"},
-                      {"type", "moduli", "H_strides", "phi", "generators"}, where)
-        group = _parse_group(data, where)
-        sub = _parse_strides(data["H_strides"], group, f"{where}.H_strides")
-        phi = parse_sequence(data["phi"], group, f"{where}.phi")
         gens = data["generators"]
         if not isinstance(gens, list) or not gens:
             raise SchemaError(f"{where}.generators: expected a non-empty list")
-        generators = tuple(parse_sequence(g, group, f"{where}.generators[{i}]")
+        generators = tuple(GroupSequence.from_json_dict(g, f"{where}.generators[{i}]", group)
                            for i, g in enumerate(gens))
         return TranslationModel(group, phi, sub, generators)
-    if kind == "semidirect":
-        _require_keys(data, {"type", "moduli", "Gamma", "H_strides", "phi", "varphi"},
-                      {"type", "moduli", "Gamma", "H_strides", "phi", "varphi"}, where)
-        group = _parse_group(data, where)
-        sub = _parse_strides(data["H_strides"], group, f"{where}.H_strides")
-        phi = parse_sequence(data["phi"], group, f"{where}.phi")
-        varphi = parse_sequence(data["varphi"], group, f"{where}.varphi")
-        gamma = data["Gamma"]
-        if gamma not in ("C1", "C2", "C4"):
-            raise SchemaError(f"{where}.Gamma: expected one of C1, C2, C4, got {gamma!r}")
-        with _schema_errors(where):
-            return SemidirectModel(group, gamma, sub, phi, varphi)
-    raise SchemaError(f"{where}.type: expected 'translation' or 'semidirect', got {kind!r}")
+    varphi = GroupSequence.from_json_dict(data["varphi"], f"{where}.varphi", group)
+    gamma = data["Gamma"]
+    if gamma not in ("C1", "C2", "C4"):
+        raise SchemaError(f"{where}.Gamma: expected one of C1, C2, C4, got {gamma!r}")
+    with _schema_errors(where):
+        return SemidirectModel(group, gamma, sub, phi, varphi)
 
 
 @dataclass(eq=False)
@@ -214,16 +136,10 @@ def parse_config(data: dict) -> ScenarioConfig:
         raw = data["probes"]
         if not isinstance(raw, list) or not raw:
             raise SchemaError("config.probes: expected a non-empty list")
-        probes = [parse_sequence(p, ambient, f"config.probes[{i}]")
+        probes = [GroupSequence.from_json_dict(p, f"config.probes[{i}]", ambient)
                   for i, p in enumerate(raw)]
     else:
-        raw = _finite_values(data["system"], "config.system")
-        _require_keys(raw, {"moduli", "rows", "cols", "entries"},
-                      {"moduli", "rows", "cols", "entries"}, "config.system")
-        try:
-            system = SequenceMatrix.from_json_dict(raw)
-        except (ValueError, KeyError, TypeError, OverflowError) as exc:
-            raise SchemaError(f"config.system: {exc}") from exc
+        system = SequenceMatrix.from_json_dict(data["system"], "config.system")
 
     finite_index = None
     if "finite_index" in data:
@@ -248,12 +164,9 @@ def parse_config(data: dict) -> ScenarioConfig:
         if seed is not None:
             seed = parse_seed(seed, "config.left_inverse.seed")
         scale = _finite(block.get("scale", 1.0), "config.left_inverse.scale", "a finite number")
-        transfer = _finite_values(block.get("transfer"), "config.left_inverse.transfer")
+        transfer = block.get("transfer")
         if transfer is not None:
-            try:
-                transfer = TransferMatrix.from_json_dict(transfer)
-            except (ValueError, KeyError, TypeError, OverflowError) as exc:
-                raise SchemaError(f"config.left_inverse.transfer: {exc}") from exc
+            transfer = TransferMatrix.from_json_dict(transfer, "config.left_inverse.transfer")
         left = LeftInverseChoice(kind=kind, seed=seed, scale=scale,
                                  transfer=transfer)
 

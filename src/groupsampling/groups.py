@@ -50,7 +50,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, GroupMismatchError
+from .errors import (DimensionMismatchError, GroupMismatchError, SchemaError, _complex_values,
+                     _int_list, _require_keys)
 
 # Below this many terms in all, one math.fsum per row beats the certified
 # extraction level of exact_sums, whose numpy calls cost a fixed 20-21 us: fsum
@@ -164,12 +165,20 @@ def _exact_convolve(a_values: np.ndarray, x_values: np.ndarray, group: GroupSpec
     """
     m_rows, n_cols, order = np.broadcast_shapes(a_values.shape, x_values.shape)
     points = np.arange(order) if points is None else points
+    a_nonzero = a_values.reshape(-1, order).any(axis=0)
+    nonzero = x_values.reshape(-1, order).any(axis=0)
+    # a(h - h') x(h') is x(h - h') a(h'): the same doubles, summed order-independently.  The operand
+    # with fewer nonzero columns goes second, where they are skipped; on a tie, the one with fewer
+    # sequences is gathered.  Only finite operands swap: a NaN keeps its operand order's sign.
+    if ((np.count_nonzero(a_nonzero), x_values.size) < (np.count_nonzero(nonzero), a_values.size)
+            and np.isfinite(a_values).all() and np.isfinite(x_values).all()):
+        a_values, x_values = x_values.reshape(-1, n_cols, order), a_values
+        nonzero = a_nonzero
     # rounding is monotone, so |fl(u * v)| <= fl(max|u| * max|v|); np.maximum keeps NaN
     bound = math.prod(float(np.maximum(np.abs(v.real).max(initial=0.0),
                                        np.abs(v.imag).max(initial=0.0)))
                       for v in (a_values, x_values))
     cols = slice(None)
-    nonzero = x_values.reshape(-1, order).any(axis=0)
     if not nonzero.all() and np.isfinite(a_values).all():
         cols = np.flatnonzero(nonzero)
         x_values = x_values[..., cols]
@@ -491,11 +500,17 @@ class GroupSequence(_Sequence):
         }
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> GroupSequence:
-        group = GroupSpec(tuple(data["moduli"]))
-        re = np.asarray(data["re"], dtype=float)
-        im = np.asarray(data.get("im", np.zeros_like(re)), dtype=float)
-        return cls(group, re + 1j * im)
+    def from_json_dict(cls, data: dict, where: str = "sequence",
+                       group: GroupSpec | None = None) -> GroupSequence:
+        """Read :meth:`to_json_dict`'s payload (``im`` optional), on ``group`` if it is given."""
+        _require_keys(data, {"moduli", "re", "im"}, {"moduli", "re"}, where)
+        moduli = _int_list(data["moduli"], f"{where}.moduli")
+        if group is None:
+            group = GroupSpec(moduli)
+        elif moduli != group.moduli:
+            raise SchemaError(f"{where}: moduli {list(moduli)} do not match the "
+                              f"group {list(group.moduli)}")
+        return cls(group, _complex_values(data, (group.order,), where))
 
     def __repr__(self) -> str:
         return f"GroupSequence(moduli={self.group.moduli}, values={self.values!r})"
@@ -523,17 +538,8 @@ def convolve(a, x, *, at: np.ndarray | None = None):
     av, xv = a.values, x.values
     if av.shape != xv.shape:
         raise DimensionMismatchError(f"cannot convolve shapes {av.shape} and {xv.shape}")
-    # a(h - h') x(h') and x(h - h') a(h') are the same doubles and the sum is
-    # order-independent, so the kernel may skip the zeros of either operand:
-    # the sparser one goes second.  Only finite operands swap, so that a NaN
-    # keeps the sign it gets from the operand order.
-    if (np.count_nonzero(av) < np.count_nonzero(xv)
-            and np.isfinite(av).all() and np.isfinite(xv).all()):
-        av, xv = xv, av
-    order = a.group.order
-    out = _exact_convolve(av.reshape(-1, 1, order),
-                          xv.reshape(-1, 1, order) if xv.ndim > 1 else xv[None, :],
-                          a.group, at).reshape(*av.shape[:-1], -1)
+    out = _exact_convolve(*(v.reshape(-1, 1, a.group.order) for v in (av, xv)), a.group, at)
+    out = out.reshape(*av.shape[:-1], -1)
     return out if at is not None else type(a)(a.group, out)
 
 

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatchError, GroupMismatchError, json_integer
+from .errors import (DimensionMismatchError, GroupMismatchError, SchemaError, _complex_values,
+                     _int_list, _require_keys, json_integer)
 from .groups import (GroupArray, GroupElement, GroupSequence, GroupSpec, _exact_convolve,
                      _same_space, _Sequence)
 
@@ -55,10 +56,18 @@ class VectorSequence(_Sequence):
         }
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> VectorSequence:
-        group = GroupSpec(tuple(data["moduli"]))
-        rows = [np.asarray(c["re"], dtype=float) + 1j * np.asarray(c["im"], dtype=float)
-                for c in data["components"]]
+    def from_json_dict(cls, data: dict, where: str = "vector") -> VectorSequence:
+        """Read :meth:`to_json_dict`'s payload."""
+        _require_keys(data, {"moduli", "components"}, {"moduli", "components"}, where)
+        group = GroupSpec(_int_list(data["moduli"], f"{where}.moduli"))
+        components = data["components"]
+        if not isinstance(components, list) or not components:
+            raise SchemaError(f"{where}.components: expected a non-empty list")
+        rows = []
+        for k, c in enumerate(components):
+            at = f"{where}.components[{k}]"
+            _require_keys(c, {"re", "im"}, {"re", "im"}, at)
+            rows.append(_complex_values(c, (group.order,), at))
         return cls(group, np.stack(rows))
 
 
@@ -110,13 +119,13 @@ class TransferMatrix(GroupArray):
         }
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> TransferMatrix:
-        group = GroupSpec(tuple(data["moduli"]))
-        arr = np.asarray(data["re"], dtype=float) + 1j * np.asarray(data["im"], dtype=float)
-        m, n = (json_integer(data[k], k, least=1) for k in ("rows", "cols"))
-        if arr.shape != (group.order, m, n):
-            raise ValueError("transfer matrix payload shape mismatch")
-        return cls(group, arr)
+    def from_json_dict(cls, data: dict, where: str = "transfer") -> TransferMatrix:
+        """Read :meth:`to_json_dict`'s payload."""
+        keys = {"moduli", "rows", "cols", "re", "im"}
+        _require_keys(data, keys, keys, where)
+        group = GroupSpec(_int_list(data["moduli"], f"{where}.moduli"))
+        m, n = (json_integer(data[k], f"{where}.{k}", least=1) for k in ("rows", "cols"))
+        return cls(group, _complex_values(data, (group.order, m, n), where))
 
 
 class SequenceMatrix(GroupArray):
@@ -170,17 +179,20 @@ class SequenceMatrix(GroupArray):
         }
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> SequenceMatrix:
-        group = GroupSpec(tuple(data["moduli"]))
-        m, n = (json_integer(data[k], k, least=1) for k in ("rows", "cols"))
+    def from_json_dict(cls, data: dict, where: str = "system") -> SequenceMatrix:
+        """Read :meth:`to_json_dict`'s payload (each entry's ``im`` optional)."""
+        keys = {"moduli", "rows", "cols", "entries"}
+        _require_keys(data, keys, keys, where)
+        group = GroupSpec(_int_list(data["moduli"], f"{where}.moduli"))
+        m, n = (json_integer(data[k], f"{where}.{k}", least=1) for k in ("rows", "cols"))
         entries = data["entries"]
-        if len(entries) != m * n:
-            raise ValueError(f"expected {m * n} entries, got {len(entries)}")
+        if not isinstance(entries, list) or len(entries) != m * n:
+            raise SchemaError(f"{where}.entries: expected a list of {m * n} entries")
         values = np.empty((m, n, group.order), dtype=np.complex128)
         for k, e in enumerate(entries):
-            re = np.asarray(e["re"], dtype=float)
-            im = np.asarray(e.get("im", np.zeros_like(re)), dtype=float)
-            values[k // n, k % n] = re + 1j * im
+            at = f"{where}.entries[{k}]"
+            _require_keys(e, {"re", "im"}, {"re"}, at)
+            values[k // n, k % n] = _complex_values(e, (group.order,), at)
         return cls(group, values)
 
 
@@ -191,13 +203,7 @@ def apply(a: SequenceMatrix, x: VectorSequence) -> VectorSequence:
     if a.cols != x.n_components:
         raise DimensionMismatchError(
             f"system has {a.cols} columns but vector has {x.n_components} components")
-    av, xv = a.values, x.values
-    # a(h - h') x(h') is x(h - h') a(h'): gather x, the fewer sequences, and skip a's zero
-    # columns, unless x has more; only finite operands swap, so a NaN keeps its order's sign
-    if (np.isfinite(av).all() and np.isfinite(xv).all()
-            and np.count_nonzero(av.any(axis=(0, 1))) <= np.count_nonzero(xv.any(axis=0))):
-        av, xv = xv[None], av
-    return VectorSequence(a.group, _exact_convolve(av, xv, a.group))
+    return VectorSequence(a.group, _exact_convolve(a.values, x.values, a.group))
 
 
 def transfer(a: SequenceMatrix) -> TransferMatrix:

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupsampling import TransferMatrix
-from groupsampling.cli import build_parser, bundled_scenario_paths, main
+from groupsampling.cli import (ScenarioRuntime, build_parser, bundled_scenario_paths,
+                               load_config, main)
 from groupsampling.config import parse_config
 from groupsampling.report import render_report
 
@@ -142,6 +143,39 @@ def test_rows_and_cols_must_be_integers(command, changes, key, tmp_path, capsys)
     code, out, err = run_cli([command, str(path)], capsys)
     assert code == 2 and out == ""
     assert err.startswith(f"error: {key}: expected an integer >= 1, got ")
+    assert err.count("\n") == 1
+
+
+def _with_system(name, system):
+    payload = json.loads(Path(SCENARIOS[name]).read_text(encoding="utf-8"))
+    del payload["probes"]
+    return {**payload, "system": system}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_the_system_the_probes_give_fits(name, tmp_path, capsys):
+    """A system with one column per generator of the resolved model runs as the probes do:
+    generators x cosets columns for finite_index, one per rotation for semidirect."""
+    system = ScenarioRuntime(load_config(SCENARIOS[name])).system
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(_with_system(name, system.to_json_dict())))
+    code, out, _ = run_cli(["analyze", SCENARIOS[name]], capsys)
+    given_code, given, err = run_cli(["analyze", str(path)], capsys)
+    assert given_code == code and err == ""
+    assert json.loads(given)["system"] == json.loads(out)["system"]
+
+
+@pytest.mark.parametrize("system", [
+    {"moduli": [2], "rows": 1, "cols": 1, "entries": [{"re": [1.0, 0.0]}]},
+    {"moduli": [4], "rows": 2, "cols": 2, "entries": _ENTRIES * 4},
+], ids=["wrong_group", "wrong_cols"])
+@pytest.mark.parametrize("command", ["analyze", "roundtrip", "verify"])
+def test_a_system_that_does_not_fit_the_model_exits_two(command, system, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_with_system("identity", system)))
+    code, out, err = run_cli([command, str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: config.system: expected 1 columns on [4], got ")
     assert err.count("\n") == 1
 
 

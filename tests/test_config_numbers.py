@@ -1,4 +1,4 @@
-"""Numbers in a scenario file: every one must be finite, or the run exits 2.
+"""Numbers and keys in a scenario file: every number must be finite, and every key known.
 
 ``json.loads`` reads ``1e400`` as inf, accepts the tokens ``NaN``,
 ``Infinity`` and ``-Infinity``, and keeps ``10**400`` as an integer that no
@@ -6,7 +6,8 @@ double holds.  Each of these, and ``true``, put into any numeric field of a
 bundled scenario (the sequences, ``tolerances.residual`` and
 ``left_inverse.scale``), of an explicit ``system`` or of a
 ``left_inverse.transfer``, must end the run with exit code 2 and one
-``error:`` line, before any numerics run.
+``error:`` line, before any numerics run.  So must a key that no reader
+knows, added to any object of those files.
 """
 
 import contextlib
@@ -22,6 +23,7 @@ from groupsampling.cli import bundled_scenario_paths, main
 
 BAD_NUMBERS = ("1e400", "-1e400", "NaN", "Infinity", "-Infinity", str(10 ** 400), "true")
 MARK = "__bad_number__"
+UNKNOWN = "__unknown_key__"
 
 
 def _identity():
@@ -50,24 +52,35 @@ def _scenarios():
 SCENARIOS = _scenarios()
 
 
-def _number_paths(value, path=()):
-    """Paths to every float in the payload: the fields that hold real numbers."""
+def _paths(value, kind, path=()):
+    """Paths to each value of ``kind`` in the payload: floats are its numbers, dicts its objects."""
+    here = [path] if isinstance(value, kind) else []
     if isinstance(value, dict):
-        return [p for k, v in value.items() for p in _number_paths(v, (*path, k))]
+        return here + [p for k, v in value.items() for p in _paths(v, kind, (*path, k))]
     if isinstance(value, list):
-        return [p for i, v in enumerate(value) for p in _number_paths(v, (*path, i))]
-    return [path] if isinstance(value, float) else []
+        return here + [p for i, v in enumerate(value) for p in _paths(v, kind, (*path, i))]
+    return here
+
+
+def _at(payload, path):
+    for key in path:
+        payload = payload[key]
+    return payload
 
 
 @st.composite
 def bad_files(draw):
     payload = json.loads(json.dumps(draw(st.sampled_from(SCENARIOS))))
-    *parents, last = draw(st.sampled_from(_number_paths(payload)))
-    target = payload
-    for key in parents:
-        target = target[key]
-    target[last] = MARK
+    *parents, last = draw(st.sampled_from(_paths(payload, float)))
+    _at(payload, parents)[last] = MARK
     return json.dumps(payload).replace(json.dumps(MARK), draw(st.sampled_from(BAD_NUMBERS)))
+
+
+@st.composite
+def unknown_key_files(draw):
+    payload = json.loads(json.dumps(draw(st.sampled_from(SCENARIOS))))
+    _at(payload, draw(st.sampled_from(_paths(payload, dict))))[UNKNOWN] = 0
+    return json.dumps(payload)
 
 
 def test_the_scenarios_run_as_written():
@@ -79,9 +92,7 @@ def test_the_scenarios_run_as_written():
                 assert main(["analyze", str(path)]) in (0, 1)
 
 
-@settings(max_examples=150, deadline=None)
-@given(bad_files(), st.sampled_from(("analyze", "roundtrip")))
-def test_a_number_no_double_holds_exits_two(text, command):
+def _exits_two(text, command):
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "bad.json"
@@ -90,3 +101,18 @@ def test_a_number_no_double_holds_exits_two(text, command):
             code = main([command, str(path)])
     assert code == 2 and out.getvalue() == ""
     assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+COMMANDS = st.sampled_from(("analyze", "roundtrip", "verify"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(bad_files(), COMMANDS)
+def test_a_number_no_double_holds_exits_two(text, command):
+    _exits_two(text, command)
+
+
+@settings(max_examples=150, deadline=None)
+@given(unknown_key_files(), COMMANDS)
+def test_an_unknown_key_in_any_object_exits_two(text, command):
+    _exits_two(text, command)

@@ -1,9 +1,11 @@
 """Matrix convolution systems: action, transfer matrices, adjoints, composition."""
 
+import json
+
 import numpy as np
 import pytest
 
-from groupsampling import (DimensionMismatchError, GroupSpec, SchemaError,
+from groupsampling import (DimensionMismatchError, GroupSequence, GroupSpec, SchemaError,
                            SequenceMatrix, TransferMatrix, VectorSequence, adjoint_system, apply,
                            compose, from_transfer, transfer)
 
@@ -202,19 +204,37 @@ class TestCompose:
             compose(rand_system(rng, g, 2, 3), rand_system(rng, g, 2, 3))
 
 
-class TestJson:
-    def test_sequence_matrix_roundtrip(self):
-        rng = np.random.default_rng(17)
-        a = rand_system(rng, GroupSpec((2, 2)), 2, 3)
-        back = SequenceMatrix.from_json_dict(a.to_json_dict())
-        np.testing.assert_array_equal(back.values, a.values)
-        assert back.group == a.group
+def _payload_object(cls):
+    """A seeded value of a class with a JSON payload, on a group of two factors."""
+    rng, g = np.random.default_rng(17), GroupSpec((2, 3))
+    shape = {GroupSequence: (g.order,), VectorSequence: (2, g.order),
+             SequenceMatrix: (2, 3, g.order), TransferMatrix: (g.order, 2, 3)}[cls]
+    return cls(g, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
-    def test_vector_roundtrip(self):
-        rng = np.random.default_rng(18)
-        x = rand_vector(rng, GroupSpec((3,)), 2)
-        back = VectorSequence.from_json_dict(x.to_json_dict())
-        np.testing.assert_array_equal(back.values, x.values)
+
+LOADED = [GroupSequence, VectorSequence, SequenceMatrix, TransferMatrix]
+
+
+class TestJson:
+    @pytest.mark.parametrize("cls", LOADED, ids=lambda cls: cls.__name__)
+    def test_roundtrip_is_bitwise(self, cls):
+        x = _payload_object(cls)
+        back = cls.from_json_dict(json.loads(json.dumps(x.to_json_dict())))
+        assert back.group == x.group and back.values.tobytes() == x.values.tobytes()
+
+    @pytest.mark.parametrize("cls", LOADED, ids=lambda cls: cls.__name__)
+    def test_a_misspelled_key_is_rejected(self, cls):
+        """Each key of each object of the payload, written in capitals, is unknown to the loader."""
+        payload = _payload_object(cls).to_json_dict()
+        for obj in (payload, *payload.get("entries", ()), *payload.get("components", ())):
+            for key in list(obj):
+                misspelled = key.upper()
+                obj[misspelled] = obj.pop(key)
+                unknown = rf"^payload\S*: unknown keys \['{misspelled}'\]"
+                with pytest.raises(SchemaError, match=unknown):
+                    cls.from_json_dict(payload, "payload")
+                obj[key] = obj.pop(misspelled)
+        cls.from_json_dict(payload, "payload")
 
     @pytest.mark.parametrize("rows, cols", [(1.7, True), ("1", 1.9), (1, 1.0), (0, 1), (1, -1)])
     @pytest.mark.parametrize("load, payload", [
