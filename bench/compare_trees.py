@@ -20,8 +20,9 @@ outputs and prints them, encoded bit for bit, as one JSON object:
   near underflow, and with an ``inf`` row and a NaN row;
 - ``json.dumps`` of the ``to_json_dict`` of a seeded ``GroupSequence``,
   ``VectorSequence``, ``SequenceMatrix`` and ``TransferMatrix``, each built
-  from a transposed (F-ordered) array where it has more than one axis, and of
-  the Moore-Penrose ``LeftInverse`` of that system;
+  from a transposed (F-ordered) array where it has more than one axis, of
+  the Moore-Penrose ``LeftInverse`` of that system, and of a ``GroupSequence``
+  loaded from a payload with signed zeros (see the end of this list);
 - stdout, stderr and exit code of ``verify --all`` at seeds 0 to 9, of
   ``verify --all --seed 3 --inject-fault``, of ``analyze`` and ``roundtrip``
   on every bundled scenario (``roundtrip`` also with ``--left-inverse family``,
@@ -55,6 +56,15 @@ outputs and prints them, encoded bit for bit, as one JSON object:
   the runs exit 0, the ``Z_2`` system's ``analyze`` exits 0 and its
   ``roundtrip`` ends in a ``GroupMismatchError`` traceback, and the 2 x 2
   system's ``analyze`` exits 1 and its ``roundtrip`` exits 2 with another message.
+  Then three configs on the scenario that ``parse_config`` resolves: that 2 x 2
+  system with ``"tolerances": {"residual": -1}``, whose tolerance error is
+  reported first because the system is checked against the model after every
+  key is read; the semidirect scenario with ``"Gamma": ["C4"]``, which exits 2;
+  and a probe with ``-0.0`` real and imaginary parts (``SIGNED_ZEROS``), which
+  runs.  ``from_json_dict/signed_zeros`` dumps a ``GroupSequence`` loaded from
+  that payload; against a tree whose loaders build ``re + 1j * im`` it differs
+  by design, because there every ``-0.0`` imaginary part, and each ``-0.0``
+  real part whose imaginary part is not negative, comes back as ``+0.0``.
   The usage line that argparse prints with ``roundtrip identity.json --seed
   -5`` lists the ``--left-inverse`` choices in the order of
   ``sampling.LEFT_INVERSE_KINDS`` (``moore_penrose,mp,family,square``); a
@@ -94,6 +104,7 @@ BAD_TOLERANCES = ("-1", "nan", "inf")
 BAD_TRANSFERS = ({"moduli": [4]}, 5)  # a dump without its values, and not an object
 UNREPRESENTABLE = "1e400"  # a JSON number that parses to inf, written into the file as is
 BAD_ROWS = (1.7, True, "1")  # system.rows values that are not integers
+SIGNED_ZEROS = {"re": [1.0, -0.0, 0.5, -0.0], "im": [-0.0, 0.25, -0.0, 0.0]}  # on Z4
 GENERATED_SEEDS = range(3)
 GENERATED = "generated_finite_index.json"  # the file ``CliVerify.setup`` writes
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -211,6 +222,8 @@ def _serializer_outputs(out: dict) -> None:
                     ("TransferMatrix", gs.TransferMatrix(g, draw(2, 3, g.order).T)),
                     ("LeftInverse", gs.moore_penrose(system))):
         out[f"to_json_dict/{name}"] = json.dumps(x.to_json_dict())
+    out["from_json_dict/signed_zeros"] = json.dumps(
+        gs.GroupSequence.from_json_dict({"moduli": [4], **SIGNED_ZEROS}).to_json_dict())
 
 
 def _bits(value):
@@ -293,6 +306,11 @@ def _cli_outputs(out: dict, scenarios: Path) -> None:
         bad["transfer_unknown_key"] = {**identity, "left_inverse": {"kind": "family", "transfer": {
             "moduli": [4], "rows": 1, "cols": 1, "re": [[[1.0]]] * 4, "im": [[[0.0]]] * 4,
             "note": "x"}}}
+        bad["system_wrong_cols_residual_-1"] = {**bad["system_wrong_cols"],
+                                               "tolerances": {"residual": -1}}
+        semidirect = json.loads((scenarios / "semidirect_c2.json").read_text(encoding="utf-8"))
+        bad["gamma_list"] = {**semidirect, "model": {**semidirect["model"], "Gamma": ["C4"]}}
+        bad["probe_signed_zeros"] = {**identity, "probes": [{**probe, **SIGNED_ZEROS}]}  # not bad
         for name, payload in bad.items():
             text = json.dumps(payload).replace(json.dumps(UNREPRESENTABLE), UNREPRESENTABLE)
             Path(f"{name}.json").write_text(text, encoding="utf-8")

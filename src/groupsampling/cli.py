@@ -1,6 +1,8 @@
 """Command-line front end: analyze, roundtrip and verify scenarios for CI.
 
-Exit codes: 0 all checks pass, 1 a numeric or stability check failed,
+Each command loads its scenarios with :func:`load_config`, which returns them
+resolved by :func:`.config.parse_config`: the kind, the sampled model and the
+system.  Exit codes: 0 all checks pass, 1 a numeric or stability check failed,
 2 usage or configuration error.  Reports are deterministic for a fixed
 config and seed; timing data is opt-in because it would break byte-level
 reproducibility.
@@ -28,13 +30,11 @@ from .frames import (DEFAULT_ORACLE_CAP, check_determinant_sandwich, diagnostics
                      kernel_witness, oracle_frame_bounds)
 from .groups import (GroupSequence, GroupSpec, convolve, dft, exact_norm_sq, idft,
                      involution)
-from .models import (SemidirectModel, analysis_transform, compose_group_law,
-                     quasi_regular_apply, sample_matrix, semidirect_analysis,
-                     semidirect_reduce, synthesize)
+from .models import (analysis_transform, compose_group_law, quasi_regular_apply,
+                     sample_matrix, semidirect_analysis, synthesize)
 from .report import render_report
-from .sampling import (LEFT_INVERSE_KINDS, FiniteIndexReduction, SamplingProcedure,
-                       finite_index_model, interpolation_check, make_procedure,
-                       reconstruct_coefficients, reconstruct_function,
+from .sampling import (LEFT_INVERSE_KINDS, SamplingProcedure, interpolation_check,
+                       make_procedure, reconstruct_coefficients, reconstruct_function,
                        semidirect_sample_and_reconstruct, take_samples)
 from .systems import TransferMatrix, VectorSequence, adjoint_system, apply, transfer
 
@@ -58,41 +58,16 @@ def _check(name: str, value: float, tolerance: float | None, ok: bool | None = N
             "tolerance": tolerance, "pass": passed}
 
 
-class ScenarioRuntime:
-    """Resolved scenario: the sampling model/system pair actually exercised."""
-
-    def __init__(self, config: ScenarioConfig) -> None:
-        self.config = config
-        self.kind = "translation"
-        self.reduction: FiniteIndexReduction | None = None
-        if isinstance(config.model, SemidirectModel):
-            self.kind = "semidirect"
-            self.model = semidirect_reduce(config.model).model
-        elif config.finite_index_strides is not None:
-            self.kind = "finite_index"
-            self.reduction = finite_index_model(config.model, config.finite_index_strides)
-            self.model = self.reduction.model
-        else:
-            self.model = config.model
-        self.system = (config.system if config.system is not None
-                       else sample_matrix(self.model, config.probes))
-        habs, n = self.model.subgroup.abstract_group, self.model.n_generators
-        if (self.system.group, self.system.cols) != (habs, n):  # only a given system can miss
-            raise SchemaError(f"config.system: expected {n} columns on {list(habs.moduli)}, got "
-                              f"{self.system.cols} on {list(self.system.group.moduli)}")
-
-    def build_procedure(self, left_kind: str | None = None,
-                        tol: float | None = None) -> SamplingProcedure:
-        choice = self.config.left_inverse
-        kind = left_kind or choice.kind
-        c = None
-        if kind == "family":
-            if choice.kind != "family":
-                choice = LeftInverseChoice(kind="family", seed=self.config.seed)
-            c = choice.parameter_for(self.system)
-        frame_tol = tol if tol is not None else self.config.tolerance("frame")
-        return make_procedure(self.model, system=self.system, left_inverse=kind,
-                              c=c, tol=frame_tol)
+def build_procedure(config: ScenarioConfig, left_kind: str | None = None,
+                    tol: float | None = None) -> SamplingProcedure:
+    """The scenario's procedure; a ``left_kind`` other than the configured one takes
+    the config seed for a family parameter."""
+    choice = config.left_inverse
+    if left_kind is not None and left_kind != choice.kind:
+        choice = LeftInverseChoice(kind=left_kind, seed=config.seed)
+    return make_procedure(config.model, system=config.system, left_inverse=choice.kind,
+                          c=choice.parameter_for(config.system),
+                          tol=config.tolerance("frame", tol))
 
 
 def load_config(path: str) -> ScenarioConfig:
@@ -125,23 +100,20 @@ def emit_report(report: dict, report_arg: str | None) -> None:
 
 
 def cmd_analyze(config: ScenarioConfig, tol: float | None) -> dict:
-    runtime = ScenarioRuntime(config)
-    frame_tol = tol if tol is not None else config.tolerance("frame")
-    diag = diagnostics(runtime.system, frame_tol)
+    diag = diagnostics(config.system, config.tolerance("frame", tol))
     return {
         "command": "analyze",
         "scenario": config.name,
-        "scenario_kind": runtime.kind,
-        "system": {"rows": runtime.system.rows, "cols": runtime.system.cols,
-                   "moduli": list(runtime.system.group.moduli)},
+        "scenario_kind": config.kind,
+        "system": {"rows": config.system.rows, "cols": config.system.cols,
+                   "moduli": list(config.system.group.moduli)},
         "diagnostics": diag.to_json_dict(),
         "exit_code": EXIT_PASS if diag.is_frame else EXIT_FAIL,
     }
 
 
-def _roundtrip_checks(runtime: ScenarioRuntime, proc: SamplingProcedure,
+def _roundtrip_checks(config: ScenarioConfig, proc: SamplingProcedure,
                       rng: np.random.Generator) -> list[dict]:
-    config = runtime.config
     residual_tol = config.tolerance("residual")
     checks = [
         _check("left_inverse_residual", verify_left_inverse(proc.system, proc.dual),
@@ -153,27 +125,16 @@ def _roundtrip_checks(runtime: ScenarioRuntime, proc: SamplingProcedure,
     def draw(shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-    if runtime.kind == "semidirect":
-        sd = config.model
-        coeffs = draw((habs.order, n)).T  # component-major for the vector space
-        x = VectorSequence(habs, coeffs)
+    if config.kind == "semidirect":
+        x = VectorSequence(habs, draw((habs.order, n)).T)  # component-major for the vector space
         f = synthesize(proc.model, x)
-        out = semidirect_sample_and_reconstruct(sd, proc, f)
-        direct = semidirect_analysis(sd, f)
-        scale = max(1.0, direct.max_abs())
+        out = semidirect_sample_and_reconstruct(config.source, proc, f)
+        direct = semidirect_analysis(config.source, f)
         checks.append(_check("semidirect_function_residual",
-                             (out - direct).max_abs() / scale,
+                             (out - direct).max_abs() / max(1.0, direct.max_abs()),
                              config.tolerance("semidirect_residual")))
-        samples = take_samples(proc, x)
-        back = reconstruct_coefficients(proc, samples)
-        checks.append(_check("coefficient_residual",
-                             float(np.abs(back.values - x.values).max())
-                             / max(1.0, float(np.abs(x.values).max())),
-                             residual_tol))
-        return checks
-
-    if runtime.kind == "finite_index":
-        red = runtime.reduction
+    elif config.kind == "finite_index":
+        red = config.reduction
         base = red.base
         x_base = VectorSequence(base.subgroup.abstract_group,
                                 draw((base.n_generators,
@@ -197,6 +158,8 @@ def _roundtrip_checks(runtime: ScenarioRuntime, proc: SamplingProcedure,
                          float(np.abs(back.values - x.values).max())
                          / max(1.0, float(np.abs(x.values).max())),
                          residual_tol))
+    if config.kind == "semidirect":
+        return checks
     table = analysis_transform(proc.model, f)
     out = reconstruct_function(proc, samples)
     scale = max(1.0, table.max_abs())
@@ -213,21 +176,20 @@ def _roundtrip_checks(runtime: ScenarioRuntime, proc: SamplingProcedure,
 
 def cmd_roundtrip(config: ScenarioConfig, seed: int | None, tol: float | None,
                   left_kind: str | None) -> dict:
-    runtime = ScenarioRuntime(config)
     used_seed = config.seed if seed is None else seed
     report = {
         "command": "roundtrip",
         "scenario": config.name,
-        "scenario_kind": runtime.kind,
+        "scenario_kind": config.kind,
         "rng": {"generator": "pcg64", "seed": used_seed},
     }
     try:
-        proc = runtime.build_procedure(left_kind=left_kind, tol=tol)
+        proc = build_procedure(config, left_kind, tol)
     except (FrameConditionError, SingularCharacterError) as exc:
         report["error"] = str(exc)
         report["exit_code"] = EXIT_FAIL
         return report
-    checks = _roundtrip_checks(runtime, proc, _rng(used_seed))
+    checks = _roundtrip_checks(config, proc, _rng(used_seed))
     report["diagnostics"] = proc.diag.to_json_dict()
     report["left_inverse"] = proc.dual.kind
     report["checks"] = checks
@@ -262,30 +224,28 @@ def _foundation_checks(group: GroupSpec, rng: np.random.Generator,
     ]
 
 
-def _verify_checks(runtime: ScenarioRuntime, rng: np.random.Generator,
+def _verify_checks(config: ScenarioConfig, rng: np.random.Generator,
                    inject_fault: bool) -> list[dict]:
-    config = runtime.config
     tol = config.tolerance("foundation")
-    checks = _foundation_checks(runtime.model.ambient, rng, tol)
+    checks = _foundation_checks(config.model.ambient, rng, tol)
 
-    star = adjoint_system(runtime.system)
+    system = config.system
+    star = adjoint_system(system)
     adjoint_dev = float(np.abs(transfer(star).matrices
-                               - np.conj(transfer(runtime.system).matrices
-                                         .transpose(0, 2, 1))).max())
+                               - np.conj(transfer(system).matrices.transpose(0, 2, 1))).max())
     checks.append(_check("adjoint_transfer_identity", adjoint_dev, 0.0))
     checks.append(_check("determinant_sandwich", 0.0, None,
-                         ok=check_determinant_sandwich(runtime.system)))
+                         ok=check_determinant_sandwich(system)))
 
-    diag = diagnostics(runtime.system, config.tolerance("frame"))
-    order = runtime.system.group.order
-    if order * max(runtime.system.rows, runtime.system.cols) <= DEFAULT_ORACLE_CAP:
-        lo, hi = oracle_frame_bounds(runtime.system)
+    diag = diagnostics(system, config.tolerance("frame"))
+    if system.group.order * max(system.rows, system.cols) <= DEFAULT_ORACLE_CAP:
+        lo, hi = oracle_frame_bounds(system)
         scale = max(diag.beta, 1e-30)
         bound_dev = max(abs(lo - diag.alpha), abs(hi - diag.beta)) / scale
         checks.append(_check("oracle_bounds_match", bound_dev, 1e-8))
 
     if diag.is_frame:
-        proc = runtime.build_procedure()
+        proc = build_procedure(config)
         dual = proc.dual
         if inject_fault:
             perturbed = dual.transfer.matrices.copy()
@@ -297,13 +257,13 @@ def _verify_checks(runtime: ScenarioRuntime, rng: np.random.Generator,
             checks.append(_check("interpolation_deviation", interpolation_check(proc),
                                  config.tolerance("interpolation")))
     else:
-        witness = kernel_witness(runtime.system)
-        sample_energy = apply(runtime.system, witness).norm()
+        witness = kernel_witness(system)
+        sample_energy = apply(system, witness).norm()
         checks.append(_check("necessity_witness_annihilated", sample_energy, 1e-6))
         checks.append(_check("necessity_witness_norm", abs(witness.norm() - 1.0), 1e-9))
 
-    if runtime.kind == "semidirect":
-        sd = config.model
+    if config.kind == "semidirect":
+        sd = config.source
         torus = sd.torus
         f = GroupSequence(torus, rng.standard_normal(torus.order)
                           + 1j * rng.standard_normal(torus.order))
@@ -328,13 +288,12 @@ def cmd_verify(configs: list[ScenarioConfig], seed: int, inject_fault: bool) -> 
     scenarios = []
     all_ok = True
     for config in configs:
-        runtime = ScenarioRuntime(config)
-        checks = _verify_checks(runtime, _rng(seed), inject_fault)
+        checks = _verify_checks(config, _rng(seed), inject_fault)
         ok = all(c["pass"] for c in checks)
         all_ok = all_ok and ok
         scenarios.append({
             "scenario": config.name,
-            "scenario_kind": runtime.kind,
+            "scenario_kind": config.kind,
             "checks": checks,
             "pass": ok,
         })

@@ -1,24 +1,30 @@
-"""Scenario configuration: strict parsing, validation and object construction.
+"""Scenario configuration: strict parsing, validation and resolution.
 
 Configurations are plain JSON.  Validation is strict: unknown keys anywhere
 raise :class:`SchemaError` before any numerics run, so typos fail fast with
 exit code 2 instead of silently changing a run.  The sequences, the ``system``
 and the ``left_inverse.transfer`` are read by their classes' ``from_json_dict``,
 with the payload rules of :mod:`.errors`; this module reads the rest.
+
+:func:`parse_config` returns the resolved scenario: its kind, the translation
+model that is sampled (a finite-index regrouping, or the reduction of a
+semidirect model) and the system, which must fit that model.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import SchemaError, _finite, _int_list, _require_keys, json_integer
 from .frames import LEFT_INVERSE_RESIDUAL_TOL
 from .groups import GroupSequence, GroupSpec, ProductSubgroup
-from .models import SemidirectModel, TranslationModel
-from .sampling import LEFT_INVERSE_KINDS
+from .models import (_ROTATION_SETS, SemidirectModel, TranslationModel, sample_matrix,
+                     semidirect_reduce)
+from .sampling import LEFT_INVERSE_KINDS, FiniteIndexReduction, finite_index_model
 from .systems import SequenceMatrix, TransferMatrix
 
 DEFAULT_TOLERANCES = {
@@ -73,13 +79,14 @@ def parse_model(data: dict, where: str = "model"):
         return TranslationModel(group, phi, sub, generators)
     varphi = GroupSequence.from_json_dict(data["varphi"], f"{where}.varphi", group)
     gamma = data["Gamma"]
-    if gamma not in ("C1", "C2", "C4"):
-        raise SchemaError(f"{where}.Gamma: expected one of C1, C2, C4, got {gamma!r}")
+    if not isinstance(gamma, str) or gamma not in _ROTATION_SETS:
+        raise SchemaError(f"{where}.Gamma: expected one of {', '.join(_ROTATION_SETS)}, "
+                          f"got {gamma!r}")
     with _schema_errors(where):
         return SemidirectModel(group, gamma, sub, phi, varphi)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class LeftInverseChoice:
     kind: str = "moore_penrose"
     seed: int | None = None
@@ -98,21 +105,33 @@ class LeftInverseChoice:
         return TransferMatrix(system.group, self.scale * mats)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ScenarioConfig:
-    """One validated scenario: model, sampling system source, options."""
+    """One validated scenario, resolved.  ``kind`` is ``translation``, ``finite_index`` or
+    ``semidirect``; ``source`` is the model the file gives, ``model`` the translation model
+    that is sampled, and ``reduction`` the finite-index regrouping of ``source``, if any."""
 
     name: str
-    model: TranslationModel | SemidirectModel
-    probes: list[GroupSequence] | None
-    system: SequenceMatrix | None
-    finite_index_strides: tuple[int, ...] | None
+    kind: str
+    source: TranslationModel | SemidirectModel
+    model: TranslationModel
+    reduction: FiniteIndexReduction | None
+    probes: tuple[GroupSequence, ...] | None
+    given_system: SequenceMatrix | None
     left_inverse: LeftInverseChoice
     seed: int
     tolerances: dict = field(default_factory=dict)
 
-    def tolerance(self, key: str) -> float | None:
-        return self.tolerances.get(key, DEFAULT_TOLERANCES[key])
+    @cached_property
+    def system(self) -> SequenceMatrix:
+        """The given system, or else the probes' sample matrix, built on first read."""
+        if self.given_system is not None:
+            return self.given_system
+        return sample_matrix(self.model, self.probes)
+
+    def tolerance(self, key: str, override: float | None = None) -> float | None:
+        """``override`` (a command-line ``--tol``) if given, else the configured value."""
+        return self.tolerances.get(key, DEFAULT_TOLERANCES[key]) if override is None else override
 
 
 def parse_config(data: dict) -> ScenarioConfig:
@@ -122,44 +141,43 @@ def parse_config(data: dict) -> ScenarioConfig:
     name = data["name"]
     if not isinstance(name, str) or not name:
         raise SchemaError("config.name: expected a non-empty string")
-    model = parse_model(data["model"])
+    source = parse_model(data["model"])
+    kind, model, reduction = "translation", source, None
+    if isinstance(source, SemidirectModel):
+        kind, model = "semidirect", semidirect_reduce(source).model
 
-    has_probes = "probes" in data
-    has_system = "system" in data
-    if has_probes == has_system:
+    if ("probes" in data) == ("system" in data):
         raise SchemaError("config: provide exactly one of 'probes' or 'system'")
 
-    ambient = model.torus if isinstance(model, SemidirectModel) else model.ambient
-    probes = None
-    system = None
-    if has_probes:
+    probes = system = None
+    if "probes" in data:
         raw = data["probes"]
         if not isinstance(raw, list) or not raw:
             raise SchemaError("config.probes: expected a non-empty list")
-        probes = [GroupSequence.from_json_dict(p, f"config.probes[{i}]", ambient)
-                  for i, p in enumerate(raw)]
+        probes = tuple(GroupSequence.from_json_dict(p, f"config.probes[{i}]", model.ambient)
+                       for i, p in enumerate(raw))
     else:
         system = SequenceMatrix.from_json_dict(data["system"], "config.system")
 
-    finite_index = None
     if "finite_index" in data:
-        if isinstance(model, SemidirectModel):
+        if kind == "semidirect":
             raise SchemaError("config.finite_index: not supported for semidirect models")
         block = data["finite_index"]
         _require_keys(block, {"strides"}, {"strides"}, "config.finite_index")
-        finite_index = _int_list(block["strides"], "config.finite_index.strides")
+        strides = _int_list(block["strides"], "config.finite_index.strides")
         with _schema_errors("config.finite_index.strides"):
-            model.subgroup.refine(finite_index)
+            reduction = finite_index_model(source, strides)
+        kind, model = "finite_index", reduction.model
 
     left = LeftInverseChoice()
     if "left_inverse" in data:
         block = data["left_inverse"]
         _require_keys(block, {"kind", "seed", "scale", "transfer"}, {"kind"},
                       "config.left_inverse")
-        kind = block["kind"]
-        if kind not in LEFT_INVERSE_KINDS:
+        left_kind = block["kind"]
+        if left_kind not in LEFT_INVERSE_KINDS:
             raise SchemaError(f"config.left_inverse.kind: expected one of "
-                              f"{LEFT_INVERSE_KINDS}, got {kind!r}")
+                              f"{LEFT_INVERSE_KINDS}, got {left_kind!r}")
         seed = block.get("seed")
         if seed is not None:
             seed = parse_seed(seed, "config.left_inverse.seed")
@@ -167,7 +185,7 @@ def parse_config(data: dict) -> ScenarioConfig:
         transfer = block.get("transfer")
         if transfer is not None:
             transfer = TransferMatrix.from_json_dict(transfer, "config.left_inverse.transfer")
-        left = LeftInverseChoice(kind=kind, seed=seed, scale=scale,
+        left = LeftInverseChoice(kind=left_kind, seed=seed, scale=scale,
                                  transfer=transfer)
 
     seed = parse_seed(data.get("seed", 0), "config.seed")
@@ -182,6 +200,11 @@ def parse_config(data: dict) -> ScenarioConfig:
                 continue
             tolerances[key] = parse_tolerance(value, f"config.tolerances.{key}")
 
-    return ScenarioConfig(name=name, model=model, probes=probes, system=system,
-                          finite_index_strides=finite_index, left_inverse=left,
-                          seed=seed, tolerances=tolerances)
+    # last, so that a config with several errors reports the first of those above
+    habs, n = model.subgroup.abstract_group, model.n_generators
+    if system is not None and (system.group, system.cols) != (habs, n):
+        raise SchemaError(f"config.system: expected {n} columns on {list(habs.moduli)}, got "
+                          f"{system.cols} on {list(system.group.moduli)}")
+    return ScenarioConfig(name=name, kind=kind, source=source, model=model,
+                          reduction=reduction, probes=probes, given_system=system,
+                          left_inverse=left, seed=seed, tolerances=tolerances)

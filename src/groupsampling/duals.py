@@ -8,6 +8,9 @@ expansion coefficients.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import cached_property
+
 import numpy as np
 
 from .errors import DimensionMismatchError
@@ -16,6 +19,7 @@ from .frames import (NORMAL_EQUATIONS_MIN_RATIO, RANK_RTOL, FrameDiagnostics, di
 from .systems import SequenceMatrix, TransferMatrix, from_transfer, transfer
 
 
+@dataclass(frozen=True, eq=False)
 class LeftInverse:
     """A left inverse held in both domains: per-character matrices and sequences.
 
@@ -23,21 +27,12 @@ class LeftInverse:
     transform, computed on first access and kept.
     """
 
-    __slots__ = ("transfer", "kind", "_coefficients")
+    transfer: TransferMatrix
+    kind: str
 
-    def __init__(self, spectral: TransferMatrix, kind: str) -> None:
-        object.__setattr__(self, "transfer", spectral)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "_coefficients", None)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError("LeftInverse is immutable")
-
-    @property
+    @cached_property
     def coefficients(self) -> SequenceMatrix:
-        if self._coefficients is None:
-            object.__setattr__(self, "_coefficients", from_transfer(self.transfer))
-        return self._coefficients
+        return from_transfer(self.transfer)
 
     def to_json_dict(self) -> dict:
         data = self.coefficients.to_json_dict()

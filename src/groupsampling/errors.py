@@ -88,7 +88,8 @@ def _finite(value, where: str, expected: str = "finite numbers", least: float = 
 
 
 def _complex_values(data: dict, shape: tuple[int, ...], where: str) -> np.ndarray:
-    """``re + 1j * im`` of a checked payload object: nested lists of ``shape`` finite numbers."""
+    """``re`` and ``im`` of a checked payload object, nested lists of ``shape`` finite numbers,
+    as the real and imaginary parts of one complex array: each keeps its sign of zero."""
     def read(value, name: str, depth: int = 0) -> list:
         if not isinstance(value, list) or len(value) != shape[depth]:
             raise SchemaError(f"{where}: expected {name} as nested lists of shape {shape}")
@@ -97,6 +98,8 @@ def _complex_values(data: dict, shape: tuple[int, ...], where: str) -> np.ndarra
         expected = f"finite numbers in {name}"
         return [_finite(v, where, expected) for v in value]
 
-    re = np.array(read(data["re"], "re"), dtype=float)
-    im = np.array(read(data["im"], "im"), dtype=float) if "im" in data else np.zeros_like(re)
-    return re + 1j * im
+    re = read(data["re"], "re")
+    im = read(data["im"], "im") if "im" in data else 0.0
+    values = np.empty(shape, dtype=np.complex128)
+    values.real, values.imag = re, im
+    return values

@@ -64,7 +64,7 @@ class FunctionOnG(GroupArray):
         return float(np.abs(self.values).max())
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class TranslationModel:
     """Translation representation on a finite abelian group.
 
@@ -80,7 +80,7 @@ class TranslationModel:
     generators: tuple[GroupSequence, ...]
 
     def __post_init__(self) -> None:
-        self.generators = tuple(self.generators)
+        object.__setattr__(self, "generators", tuple(self.generators))
         if not self.generators:
             raise ValueError("need at least one generator")
         if self.phi.group != self.ambient:
@@ -283,7 +283,7 @@ def reproducing_kernel(model: TranslationModel) -> ReproducingKernel:
     return ReproducingKernel(model.ambient)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SemidirectModel:
     """Quasi-regular representation of torus translations twisted by rotations.
 
@@ -312,7 +312,7 @@ class SemidirectModel:
                      for flat in _ROTATION_SETS[self.gamma_label])
         for m in mats:
             m.setflags(write=False)
-        self.rotations = mats
+        object.__setattr__(self, "rotations", mats)
         if self.lattice.parent != self.torus:
             raise GroupMismatchError("lattice is not inside the torus")
         if self.lattice.strides[0] != self.lattice.strides[1]:
@@ -342,11 +342,7 @@ class SemidirectModel:
 
 def rotate_sequence(model: SemidirectModel, gamma, f: GroupSequence) -> GroupSequence:
     """Pure rotation: (U(0, gamma) f)(t) = f(gamma^T t)."""
-    idx = model.rotation_index(gamma)
-    if f.group != model.torus:
-        raise GroupMismatchError("sequence is not on the torus")
-    src = model.torus.ravel(model.torus.coords_array @ model.rotations[idx])
-    return GroupSequence(model.torus, f.values[src])
+    return quasi_regular_apply(model, (0, 0), gamma, f)
 
 
 def quasi_regular_apply(model: SemidirectModel, shift, gamma,
@@ -361,7 +357,8 @@ def quasi_regular_apply(model: SemidirectModel, shift, gamma,
         s = np.asarray(shift.coords)
     else:
         s = np.asarray(tuple(int(c) for c in shift))
-    src = model.torus.ravel((model.torus.coords_array - s) @ model.rotations[idx])
+    t = model.torus.coords_array.T  # one column per point: numpy loops over the points
+    src = model.torus.ravel((model.rotations[idx].T @ (t - s[:, None])).T)
     return GroupSequence(model.torus, f.values[src])
 
 
@@ -377,7 +374,7 @@ def compose_group_law(model: SemidirectModel, a: tuple, b: tuple) -> tuple:
             model.rotation_index(product))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SemidirectReduction:
     """Translation-scenario data equivalent to a semidirect model.
 

@@ -31,7 +31,7 @@ from .systems import SequenceMatrix, TransferMatrix, VectorSequence, apply, tran
 SampleSet = VectorSequence
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SamplingFunctions:
     """Reconstruction kernels: one function on the ambient group per sample channel."""
 
@@ -45,7 +45,7 @@ class SamplingFunctions:
         return tuple(analysis_transform(self.model, beta) for beta in self.betas)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SamplingProcedure:
     """A validated sampling procedure: model, system, diagnostics, left inverse."""
 
@@ -182,7 +182,7 @@ def shannon_procedure(model: TranslationModel, tol: float | None = None) -> Samp
     return make_procedure(model, system=system, left_inverse="square", tol=tol)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class FiniteIndexReduction:
     """A model rewritten over a finite-index subgroup of its sampling group.
 

@@ -11,8 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupsampling import TransferMatrix
-from groupsampling.cli import (ScenarioRuntime, build_parser, bundled_scenario_paths,
-                               load_config, main)
+from groupsampling.cli import build_parser, bundled_scenario_paths, load_config, main
 from groupsampling.config import parse_config
 from groupsampling.report import render_report
 
@@ -156,7 +155,7 @@ def _with_system(name, system):
 def test_the_system_the_probes_give_fits(name, tmp_path, capsys):
     """A system with one column per generator of the resolved model runs as the probes do:
     generators x cosets columns for finite_index, one per rotation for semidirect."""
-    system = ScenarioRuntime(load_config(SCENARIOS[name])).system
+    system = load_config(SCENARIOS[name]).system
     path = tmp_path / "system.json"
     path.write_text(json.dumps(_with_system(name, system.to_json_dict())))
     code, out, _ = run_cli(["analyze", SCENARIOS[name]], capsys)

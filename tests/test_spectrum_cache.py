@@ -87,7 +87,7 @@ def test_cli_solves_the_scenario_system_once(stacks, scenario, command):
     path = next(p for p in cli.bundled_scenario_paths() if p.endswith(f"{scenario}.json"))
     with contextlib.redirect_stdout(io.StringIO()):
         cli.main([command, path])
-    system = cli.ScenarioRuntime(cli.load_config(path)).system
+    system = cli.load_config(path).system
     assert _solves_of(stacks, system) == (1, int(system.rows == system.cols))
 
 

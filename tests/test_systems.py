@@ -218,7 +218,12 @@ LOADED = [GroupSequence, VectorSequence, SequenceMatrix, TransferMatrix]
 class TestJson:
     @pytest.mark.parametrize("cls", LOADED, ids=lambda cls: cls.__name__)
     def test_roundtrip_is_bitwise(self, cls):
-        x = _payload_object(cls)
+        """Signed zeros too: each real and imaginary part keeps its sign of zero."""
+        drawn = _payload_object(cls)
+        values = drawn.values.copy()
+        values.reshape(-1)[:4] = [complex(-0.0, 1.0), complex(1.0, -0.0), complex(-0.0, -0.0),
+                                  complex(0.0, -0.0)]
+        x = cls(drawn.group, values)
         back = cls.from_json_dict(json.loads(json.dumps(x.to_json_dict())))
         assert back.group == x.group and back.values.tobytes() == x.values.tobytes()
 
