@@ -23,6 +23,13 @@ outputs and prints them, encoded bit for bit, as one JSON object:
   from a transposed (F-ordered) array where it has more than one axis, of
   the Moore-Penrose ``LeftInverse`` of that system, and of a ``GroupSequence``
   loaded from a payload with signed zeros (see the end of this list);
+- the semidirect functions on seeded C2 and C4 models on Z12 x Z12 with
+  strides (3, 3): the generators of ``semidirect_reduce``, ``semidirect_analysis``
+  of a dense input and of one with 90% exact zeros, ``quasi_regular_apply`` at
+  seeded rotations and shifts (unreduced and negative tuples, and torus
+  elements), and ``semidirect_sample_and_reconstruct`` with a Moore-Penrose
+  procedure on R + 1 seeded probes (R rotations); these reach the rotations
+  directly, where the reports reach them only through ``roundtrip`` residuals;
 - stdout, stderr and exit code of ``verify --all`` at seeds 0 to 9, of
   ``verify --all --seed 3 --inject-fault``, of ``analyze`` and ``roundtrip``
   on every bundled scenario (``roundtrip`` also with ``--left-inverse family``,
@@ -104,6 +111,8 @@ BAD_TOLERANCES = ("-1", "nan", "inf")
 BAD_TRANSFERS = ({"moduli": [4]}, 5)  # a dump without its values, and not an object
 UNREPRESENTABLE = "1e400"  # a JSON number that parses to inf, written into the file as is
 BAD_ROWS = (1.7, True, "1")  # system.rows values that are not integers
+SEMIDIRECT_LABELS = ("C2", "C4")  # on Z12 x Z12, strides (3, 3)
+SEMIDIRECT_SHIFTS = 6  # seeded (shift, rotation) pairs per model and shift form
 SIGNED_ZEROS = {"re": [1.0, -0.0, 0.5, -0.0], "im": [-0.0, 0.25, -0.0, 0.0]}  # on Z4
 GENERATED_SEEDS = range(3)
 GENERATED = "generated_finite_index.json"  # the file ``CliVerify.setup`` writes
@@ -226,6 +235,39 @@ def _serializer_outputs(out: dict) -> None:
         gs.GroupSequence.from_json_dict({"moduli": [4], **SIGNED_ZEROS}).to_json_dict())
 
 
+def _semidirect_outputs(out: dict) -> None:
+    import numpy as np
+    import groupsampling as gs
+
+    rng = np.random.default_rng(2)
+    torus = gs.GroupSpec((12, 12))
+
+    def draw(zeros=0.0):
+        v = rng.standard_normal(torus.order) + 1j * rng.standard_normal(torus.order)
+        v[rng.random(torus.order) < zeros] = 0
+        return gs.GroupSequence(torus, v)
+
+    for label in SEMIDIRECT_LABELS:
+        model = gs.SemidirectModel(torus, label, gs.ProductSubgroup(torus, (3, 3)), draw(), draw())
+        name = f"semidirect/{label}"
+        reduced = gs.semidirect_reduce(model).model
+        out[f"{name}/reduce_generators"] = _encode(lambda: [g.values for g in reduced.generators])
+        f, sparse = draw(), draw(0.9)
+        out[f"{name}/analysis"] = _encode(lambda: gs.semidirect_analysis(model, f).values)
+        out[f"{name}/analysis_sparse"] = _encode(
+            lambda: gs.semidirect_analysis(model, sparse).values)
+        for _ in range(SEMIDIRECT_SHIFTS):
+            coords = tuple(int(c) for c in rng.integers(-30, 30, size=2))
+            gamma = int(rng.integers(model.n_rotations))
+            for shift in (coords, torus.element(coords)):
+                out[f"{name}/quasi_regular_apply/{shift}/{gamma}"] = _encode(
+                    lambda: gs.quasi_regular_apply(model, shift, gamma, f).values)
+        probes = [draw() for _ in range(model.n_rotations + 1)]
+        out[f"{name}/sample_and_reconstruct"] = _encode(
+            lambda: gs.semidirect_sample_and_reconstruct(
+                model, gs.make_procedure(reduced, probes=probes), f).values)
+
+
 def _bits(value):
     """A parsed report with each float as its exact hex and each object as ordered pairs."""
     if isinstance(value, float):
@@ -334,6 +376,7 @@ def emit(src: Path) -> None:
     out: dict = {}
     _kernel_outputs(out)
     _serializer_outputs(out)
+    _semidirect_outputs(out)
     _cli_outputs(out, src / "groupsampling" / "scenarios")
     sys.stdout.write(json.dumps(out))
 

@@ -25,6 +25,10 @@ the same tori and on order 4096, the size of the benchmark's
 Z48 x Z48 with strides (3, 3), as in the benchmark's ``semidirect_c4``
 (``coefficients_of`` cold, on a new reduction each call, so that the fibers
 kept on a model are not timed as a faster solve, and warm, on a kept model);
+on a C4 model of Z24 x Z24 with strides (3, 3), ``semidirect_reduce`` (on a new
+model each call, so that the rotation table is built inside the timing),
+``semidirect_analysis`` and ``quasi_regular_apply`` at a fixed shift and
+quarter turn (on a kept model);
 ``make_procedure`` with each kind of left inverse (6x4 Moore-Penrose and
 family, 4x4 square) on orders 1024 and 4096; the foundation checks of
 ``verify`` (``cli._foundation_checks``: 100 draws, 25 pairs convolved
@@ -70,6 +74,7 @@ COLD_SIDES = (16, 32, 48)  # |G| = 256, 1024, 2304, on a new GroupSpec per call
 VERDICT_SIDES = SIDES + (64,)  # and |G| = 4096
 PROCEDURE_SIDES = (32, 64)  # |H| = 1024, and 4096 as in stability_scan
 C4_SIDES = (24, 48)  # |G| = 576 and 2304, |H| = 64 and 256
+ROTATION_SIDE = 24  # the rotation stages' torus, as in the benchmark's semidirect_c4
 FOUNDATION_MODULI = ((4,), (48,), (12, 12), (32, 32))  # |G| = 4, 48, 144, 1024
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -169,6 +174,21 @@ def stages() -> dict:
             lambda: gs.coefficients_of(reduced, f))
         out[f"semidirect_reconstruct_c4/{torus.order}"] = _timed(
             lambda: gs.semidirect_sample_and_reconstruct(sd, proc, f))
+
+    rotation_rng = np.random.default_rng(4)  # leaves the draws of the other stages as they were
+    torus = gs.GroupSpec((ROTATION_SIDE, ROTATION_SIDE))
+    phi, varphi, f = (gs.GroupSequence(torus, rotation_rng.standard_normal(torus.order)
+                                       + 1j * rotation_rng.standard_normal(torus.order))
+                      for _ in range(3))
+
+    def c4_model():
+        return gs.SemidirectModel(torus, "C4", gs.ProductSubgroup(torus, (3, 3)), phi, varphi)
+
+    sd, shift = c4_model(), torus.element((5, 7))
+    out[f"semidirect_reduce_c4/{torus.order}"] = _timed(lambda: gs.semidirect_reduce(c4_model()))
+    out[f"semidirect_analysis_c4/{torus.order}"] = _timed(lambda: gs.semidirect_analysis(sd, f))
+    out[f"quasi_regular_apply_c4/{torus.order}"] = _timed(
+        lambda: gs.quasi_regular_apply(sd, shift, 1, f))
 
     for side in VERDICT_SIDES:
         g = gs.GroupSpec((side, side))

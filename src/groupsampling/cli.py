@@ -47,6 +47,8 @@ EXIT_USAGE = 2
 BUNDLED_SCENARIOS = ("identity", "shannon_z4", "finite_index_z8", "semidirect_c2",
                      "nonframe_counterexample")
 
+FOUNDATION_DRAWS = 100  # random sequences per foundation identity of verify, and a quarter as pairs
+
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
@@ -197,19 +199,18 @@ def cmd_roundtrip(config: ScenarioConfig, seed: int | None, tol: float | None,
     return report
 
 
-def _foundation_checks(group: GroupSpec, rng: np.random.Generator,
-                       tol: float, draws: int = 100) -> list[dict]:
+def _foundation_checks(group: GroupSpec, rng: np.random.Generator, tol: float) -> list[dict]:
     # each identity once over a stack of draws, read from the stream as one draw
     # at a time would read them: a sequence's real parts, then its imaginary parts
     order = group.order
-    parts = rng.standard_normal((draws, 2, order))
+    parts = rng.standard_normal((FOUNDATION_DRAWS, 2, order))
     x = VectorSequence(group, parts[:, 0] + 1j * parts[:, 1])
     x_hat = dft(x)
     worst_round = float(np.abs(idft(x_hat).values - x.values).max())
     lhs, rhs = exact_norm_sq(x.values), exact_norm_sq(x_hat.values) / order
     worst_plancherel = float((np.abs(lhs - rhs) / np.maximum(lhs, 1.0)).max())
     worst_invol = float(np.abs(involution(involution(x)).values - x.values).max())
-    pairs = rng.standard_normal((draws // 4, 2, 2, order))
+    pairs = rng.standard_normal((FOUNDATION_DRAWS // 4, 2, 2, order))
     pairs = pairs[:, :, 0] + 1j * pairs[:, :, 1]  # (pair, a or x, order)
     a, x = VectorSequence(group, pairs[:, 0]), VectorSequence(group, pairs[:, 1])
     lhs = dft(convolve(a, x)).values
@@ -267,18 +268,14 @@ def _verify_checks(config: ScenarioConfig, rng: np.random.Generator,
         torus = sd.torus
         f = GroupSequence(torus, rng.standard_normal(torus.order)
                           + 1j * rng.standard_normal(torus.order))
-        worst_comp = 0.0
-        worst_norm = 0.0
+        norm_sq, worst_comp, worst_norm = f.norm_sq(), 0.0, 0.0
         for _ in range(50):
-            s1 = torus.element_at(int(rng.integers(torus.order)))
-            s2 = torus.element_at(int(rng.integers(torus.order)))
-            g1 = int(rng.integers(sd.n_rotations))
-            g2 = int(rng.integers(sd.n_rotations))
+            s1, s2 = (torus.element_at(int(rng.integers(torus.order))) for _ in range(2))
+            g1, g2 = (int(rng.integers(sd.n_rotations)) for _ in range(2))
             lhs = quasi_regular_apply(sd, s1, g1, quasi_regular_apply(sd, s2, g2, f))
-            s3, g3 = compose_group_law(sd, (s1, g1), (s2, g2))
-            rhs = quasi_regular_apply(sd, s3, g3, f)
+            rhs = quasi_regular_apply(sd, *compose_group_law(sd, (s1, g1), (s2, g2)), f)
             worst_comp = max(worst_comp, float(np.abs(lhs.values - rhs.values).max()))
-            worst_norm = max(worst_norm, abs(lhs.norm_sq() - f.norm_sq()))
+            worst_norm = max(worst_norm, abs(lhs.norm_sq() - norm_sq))
         checks.append(_check("composition_law", worst_comp, 0.0))
         checks.append(_check("quasi_regular_unitarity", worst_norm, 0.0))
     return checks

@@ -260,8 +260,7 @@ class GroupSpec:
 
     def ravel(self, coords: np.ndarray) -> np.ndarray:
         """Indices of (possibly unreduced) coordinate rows."""
-        reduced = np.mod(np.atleast_2d(coords), np.asarray(self.moduli))
-        return np.ravel_multi_index(tuple(reduced.T), self.moduli)
+        return np.ravel_multi_index(tuple(np.atleast_2d(coords).T), self.moduli, mode="wrap")
 
     def element(self, coords: Sequence[int]) -> GroupElement:
         return GroupElement(self, tuple(coords))
@@ -435,6 +434,8 @@ class _Sequence(GroupArray):
 
     def shift(self, t: GroupElement | int):
         """Translate: (T_t x)(g) = x(g - t)."""
+        if isinstance(t, GroupElement):
+            _same_group(self.group, t.group, "shift on a different group")
         idx = int(t) if isinstance(t, (int, np.integer)) else t.index
         return type(self)(self.group, self.values[..., self.group.translation_perm(idx)])
 

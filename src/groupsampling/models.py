@@ -8,7 +8,9 @@ Two scenarios are provided:
   fiber Gram per character of the subgroup;
 * the quasi-regular representation of a finite rotation group acting on a
   square torus, U(s, gamma) f(t) = f(gamma^T (t - s)), which reduces to the
-  translation scenario with one rotated generator per rotation.
+  translation scenario with one rotated generator per rotation.  The action
+  permutes the torus points: windows and generators are gathered through the
+  model's one table, ``rotation_perms``.
 
 Inner products use counting measure: <f, g> = sum f * conj(g).
 """
@@ -24,7 +26,7 @@ from .errors import (CapExceededError, DimensionMismatchError, FrameConditionErr
                      GroupMismatchError)
 from .frames import DEFAULT_ORACLE_CAP, RANK_RTOL, _spectral_gram
 from .groups import (GroupArray, GroupElement, GroupSequence, GroupSpec, ProductSubgroup,
-                     _same_space, convolve, involution)
+                     _same_group, _same_space, convolve, involution)
 from .systems import SequenceMatrix, VectorSequence
 
 _ROTATION_SETS = {
@@ -49,6 +51,7 @@ class FunctionOnG(GroupArray):
         return self.values.shape[0]
 
     def at(self, point: GroupElement, sector: int = 0) -> complex:
+        _same_group(self.group, point.group, "evaluation point on a different group")
         return complex(self.values[sector, point.index])
 
     def flat(self) -> np.ndarray:
@@ -308,11 +311,9 @@ class SemidirectModel:
         if self.gamma_label not in _ROTATION_SETS:
             raise ValueError(f"unknown rotation group {self.gamma_label!r}; "
                              f"choose one of {sorted(_ROTATION_SETS)}")
-        mats = tuple(np.array(flat, dtype=np.int64).reshape(2, 2)
-                     for flat in _ROTATION_SETS[self.gamma_label])
-        for m in mats:
-            m.setflags(write=False)
-        object.__setattr__(self, "rotations", mats)
+        mats = np.array(_ROTATION_SETS[self.gamma_label], dtype=np.int64).reshape(-1, 2, 2)
+        mats.setflags(write=False)  # so is each matrix, a view of it
+        object.__setattr__(self, "rotations", tuple(mats))
         if self.lattice.parent != self.torus:
             raise GroupMismatchError("lattice is not inside the torus")
         if self.lattice.strides[0] != self.lattice.strides[1]:
@@ -325,6 +326,14 @@ class SemidirectModel:
     @property
     def n_rotations(self) -> int:
         return len(self.rotations)
+
+    @cached_property
+    def rotation_perms(self) -> np.ndarray:
+        """Read-only (rotations, order) gather table: row i holds the index of gamma_i^T t."""
+        t = self.torus.coords_array.T  # one column per point: numpy loops over the points
+        perms = np.stack([self.torus.ravel((m.T @ t).T) for m in self.rotations])
+        perms.setflags(write=False)
+        return perms
 
     def rotation_index(self, gamma) -> int:
         """Index of a rotation given as an index or a 2x2 integer matrix."""
@@ -347,18 +356,13 @@ def rotate_sequence(model: SemidirectModel, gamma, f: GroupSequence) -> GroupSeq
 
 def quasi_regular_apply(model: SemidirectModel, shift, gamma,
                         f: GroupSequence) -> GroupSequence:
-    """(U(s, gamma) f)(t) = f(gamma^T (t - s)); a pure index permutation."""
+    """(U(s, gamma) f)(t) = f(gamma^T (t - s)): the rotation's table row gathered at t - s."""
     idx = model.rotation_index(gamma)
-    if f.group != model.torus:
-        raise GroupMismatchError("sequence is not on the torus")
-    if isinstance(shift, GroupElement):
-        if shift.group != model.torus:
-            raise GroupMismatchError("shift is not a torus element")
-        s = np.asarray(shift.coords)
-    else:
-        s = np.asarray(tuple(int(c) for c in shift))
-    t = model.torus.coords_array.T  # one column per point: numpy loops over the points
-    src = model.torus.ravel((model.rotations[idx].T @ (t - s[:, None])).T)
+    _same_group(f.group, model.torus, "sequence is not on the torus")
+    if not isinstance(shift, GroupElement):
+        shift = model.torus.element(tuple(int(c) for c in shift))
+    _same_group(shift.group, model.torus, "shift is not a torus element")
+    src = model.rotation_perms[idx][model.torus.translation_perm(shift.index)]
     return GroupSequence(model.torus, f.values[src])
 
 
@@ -368,10 +372,9 @@ def compose_group_law(model: SemidirectModel, a: tuple, b: tuple) -> tuple:
     i1, i2 = model.rotation_index(g1), model.rotation_index(g2)
     c1 = np.asarray(s1.coords if isinstance(s1, GroupElement) else tuple(s1))
     c2 = np.asarray(s2.coords if isinstance(s2, GroupElement) else tuple(s2))
-    coords = c1 + model.rotations[i1] @ c2
-    product = model.rotations[i1] @ model.rotations[i2]
-    return (model.torus.element(tuple(int(c) for c in coords)),
-            model.rotation_index(product))
+    r1 = model.rotations[i1]
+    return (model.torus.element(tuple(int(c) for c in c1 + r1 @ c2)),
+            model.rotation_index(r1 @ model.rotations[i2]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -406,8 +409,8 @@ class SemidirectReduction:
 
 def semidirect_reduce(model: SemidirectModel) -> SemidirectReduction:
     """Rewrite the semidirect scenario as a translation scenario on the torus."""
-    generators = tuple(rotate_sequence(model, i, model.varphi)
-                       for i in range(model.n_rotations))
+    generators = tuple(GroupSequence(model.torus, v)
+                       for v in model.varphi.values[model.rotation_perms])
     translation = TranslationModel(
         ambient=model.torus,
         phi=model.phi,
@@ -418,11 +421,9 @@ def semidirect_reduce(model: SemidirectModel) -> SemidirectReduction:
 
 
 def semidirect_analysis(model: SemidirectModel, f: GroupSequence) -> FunctionOnG:
-    """Full correlation table F(s, gamma) = <f, U(s, gamma) phi>, one sector per rotation."""
-    if f.group != model.torus:
-        raise GroupMismatchError("input is not on the torus")
-    rows = []
-    for i in range(model.n_rotations):
-        window = rotate_sequence(model, i, model.phi)
-        rows.append(convolve(f, involution(window)).values)
-    return FunctionOnG(model.torus, np.stack(rows))
+    """Full correlation table F(s, gamma) = <f, U(s, gamma) phi>, one sector per rotation,
+    from one exact convolution of f against the stack of rotated windows."""
+    _same_group(f.group, model.torus, "input is not on the torus")
+    windows = VectorSequence(model.torus, model.phi.values[model.rotation_perms])
+    stack = VectorSequence(model.torus, np.broadcast_to(f.values, windows.values.shape))
+    return FunctionOnG(model.torus, convolve(stack, involution(windows)).values)

@@ -25,7 +25,7 @@ from .errors import DimensionMismatchError, FrameConditionError, GroupMismatchEr
 from .frames import LEFT_INVERSE_RESIDUAL_TOL, FrameDiagnostics, diagnostics, require_frame
 from .groups import GroupElement, GroupSequence, ProductSubgroup, coset_representatives
 from .models import (FunctionOnG, SemidirectModel, TranslationModel, _coefficient_spectra,
-                     analysis_transform, rotate_sequence, sample_matrix, synthesize)
+                     analysis_transform, sample_matrix, synthesize)
 from .systems import SequenceMatrix, TransferMatrix, VectorSequence, apply, transfer
 
 SampleSet = VectorSequence
@@ -317,7 +317,6 @@ def semidirect_sample_and_reconstruct(model: SemidirectModel,
     s_hat = np.matmul(transfer(proc.system).matrices, c_hat[:, :, None])[:, :, 0].T
     # kernel (i, m) is beta_m correlated with the window rotated into sector i
     g = model.torus
-    windows = np.conj(g.fft(np.stack([rotate_sequence(model, i, model.phi).values
-                                      for i in range(model.n_rotations)])))
+    windows = np.conj(g.fft(model.phi.values[model.rotation_perms]))
     betas = g.fft(np.stack([b.values for b in proc.sampling_functions.betas]))
     return FunctionOnG(g, _sum_translates(proc, s_hat, (windows * b for b in betas)))

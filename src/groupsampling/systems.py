@@ -20,7 +20,7 @@ import numpy as np
 from .errors import (DimensionMismatchError, GroupMismatchError, SchemaError, _complex_values,
                      _int_list, _require_keys, json_integer)
 from .groups import (GroupArray, GroupElement, GroupSequence, GroupSpec, _exact_convolve,
-                     _same_space, _Sequence)
+                     _same_group, _same_space, _Sequence)
 
 
 class VectorSequence(_Sequence):
@@ -95,6 +95,8 @@ class TransferMatrix(GroupArray):
         return self.matrices.shape[2]
 
     def at(self, xi: GroupElement | int) -> np.ndarray:
+        if isinstance(xi, GroupElement):
+            _same_group(self.group, xi.group, "character on a different group")
         idx = int(xi) if isinstance(xi, (int, np.integer)) else xi.index
         return self.matrices[idx]
 

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupsampling import (Character, GroupMismatchError, GroupSequence, GroupSpec,
-                           ProductSubgroup, add, character_value, convolve, convolve_fft,
+from groupsampling import (Character, FunctionOnG, GroupElement, GroupMismatchError,
+                           GroupSequence, GroupSpec, ProductSubgroup, TransferMatrix,
+                           VectorSequence, add, character_value, convolve, convolve_fft,
                            coset_representatives, dft, idft, involution, neg)
 
 
@@ -65,6 +66,35 @@ class TestElements:
         coords = [e.coords for e in g.elements()]
         assert coords == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
         assert [g.element(c).index for c in coords] == list(range(6))
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_moduli, st.data())
+    def test_ravel_is_the_index_of_the_reduced_element(self, moduli, data):
+        """``ravel``, the index reference of the difference-row tests, pinned to the
+        pure-Python ``GroupElement.index`` on unreduced and negative coordinates."""
+        g = GroupSpec(tuple(moduli))
+        coord = st.integers(min_value=-5000, max_value=5000)
+        rows = data.draw(st.lists(st.tuples(*(coord for _ in moduli)), min_size=1, max_size=30))
+        want = [GroupElement(g, row).index for row in rows]
+        assert g.ravel(np.array(rows, dtype=np.int64)).tolist() == want
+        assert g.ravel(np.array(rows[0], dtype=np.int64)).tolist() == want[:1]
+
+    def test_points_of_another_group_are_refused(self):
+        """Z16's element 5 is not the point (1, 1) of Z4 x Z4, though it has its index."""
+        g, stranger = GroupSpec((4, 4)), GroupSpec((16,)).element((5,))
+        x = GroupSequence(g, np.arange(16.0))
+        refusals = (lambda: x.shift(stranger),
+                    lambda: VectorSequence(g, np.ones((2, 16))).shift(stranger),
+                    lambda: x.at(stranger),
+                    lambda: FunctionOnG(g, np.arange(16.0)).at(stranger),
+                    lambda: TransferMatrix(g, np.ones((16, 1, 1))).at(stranger))
+        for call in refusals:
+            with pytest.raises(GroupMismatchError):
+                call()
+        own = g.element((1, 1))
+        assert np.array_equal(x.shift(own).values, x.shift(5).values)
+        assert FunctionOnG(g, np.arange(16.0)).at(own) == 5.0
+        assert TransferMatrix(g, np.arange(16.0).reshape(16, 1, 1)).at(own)[0, 0] == 5.0
 
     @given(small_moduli, st.data())
     def test_group_axioms(self, moduli, data):

@@ -4,12 +4,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from groupsampling import (FrameConditionError, GroupSequence, GroupSpec,
-                           ProductSubgroup, SemidirectModel, compose_group_law,
-                           diagnostics, make_procedure, quasi_regular_apply,
+from groupsampling import (FrameConditionError, GroupElement, GroupSequence, GroupSpec,
+                           ProductSubgroup, SemidirectModel, compose_group_law, convolve,
+                           diagnostics, involution, make_procedure, quasi_regular_apply,
                            riesz_sequence_check, rotate_sequence, sample_matrix,
                            semidirect_analysis, semidirect_reduce, synthesize)
+from groupsampling import models
 
 
 def build_model(L, stride, label, seed=0):
@@ -47,6 +50,37 @@ class TestConstruction:
         for label, count in [("C1", 1), ("C2", 2), ("C4", 4)]:
             model, _ = build_model(4, 2, label)
             assert model.n_rotations == count
+
+
+class TestRotationTable:
+    """``rotation_perms``: row i holds the index of gamma_i^T t for every point t."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=1, max_value=9), st.sampled_from(["C1", "C2", "C4"]))
+    def test_rows_are_the_rotation_group(self, side, label):
+        torus = GroupSpec((side, side))
+        model = SemidirectModel(torus, label, ProductSubgroup(torus, (1, 1)),
+                                GroupSequence.delta(torus), GroupSequence.delta(torus))
+        perms, points = model.rotation_perms, np.arange(torus.order)
+        assert perms.shape == (model.n_rotations, torus.order)
+        assert np.array_equal(perms[0], points)
+        for row, gamma in zip(perms, model.rotations):
+            assert np.array_equal(np.sort(row), points)  # a permutation
+            for t in torus.elements():
+                assert row[t.index] == GroupElement(torus, tuple(gamma.T @ t.coords)).index
+        zero = torus.identity()
+        for i, j in itertools.product(range(model.n_rotations), repeat=2):
+            _, k = compose_group_law(model, (zero, i), (zero, j))
+            assert np.array_equal(perms[k], perms[j][perms[i]])
+
+    def test_table_is_cached_and_read_only(self):
+        model, _ = build_model(6, 2, "C4")
+        perms = model.rotation_perms
+        assert model.rotation_perms is perms
+        with pytest.raises(ValueError):
+            perms[1, 0] = 0
+        with pytest.raises(ValueError):
+            model.rotations[1][0, 0] = 0
 
 
 class TestQuasiRegular:
@@ -187,6 +221,34 @@ class TestAnalysis:
                 shifted = quasi_regular_apply(model, point, i, model.phi)
                 expected = f.inner(shifted)
                 assert abs(table.at(point, i) - expected) < 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(["C2", "C4"]), st.sampled_from([0.0, 0.5, 0.9]),
+           st.sampled_from([0.0, 0.5, 0.9]), st.integers(min_value=0, max_value=2**32 - 1))
+    def test_one_convolve_bitwise_per_window(self, label, f_zeros, phi_zeros, seed):
+        """Sparse operands change which operand the kernel gathers in a stacked call;
+        every row stays bitwise the call for its window alone."""
+        rng, torus = np.random.default_rng(seed), GroupSpec((6, 6))
+        f_values, phi_values = (rng.standard_normal(36) + 1j * rng.standard_normal(36)
+                                for _ in range(2))
+        f_values[rng.random(36) < f_zeros] = 0
+        phi_values[rng.random(36) < phi_zeros] = 0
+        model = SemidirectModel(torus, label, ProductSubgroup(torus, (2, 2)),
+                                GroupSequence(torus, phi_values), GroupSequence.delta(torus))
+        f = GroupSequence(torus, f_values)
+        want = np.stack([convolve(f, involution(rotate_sequence(model, i, model.phi))).values
+                         for i in range(model.n_rotations)])
+        calls = []
+
+        def counted(a, x, **kwargs):
+            calls.append(a.values.shape)
+            return convolve(a, x, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(models, "convolve", counted)
+            got = semidirect_analysis(model, f).values
+        assert calls == [(model.n_rotations, 36)]
+        assert got.tobytes() == want.tobytes()
 
     def test_zero_function(self):
         model, _ = build_model(4, 2, "C2", seed=9)

@@ -175,6 +175,27 @@ def test_op_calls_no_exact_function(monkeypatch):
     assert np.array_equal(got, want)
 
 
+def test_op_gathers_its_windows_without_rotating(monkeypatch):
+    """The rotated windows are the model's ``rotation_perms`` gather of the window."""
+    model, proc, f = _c4_setup()
+    want = semidirect_sample_and_reconstruct(model, proc, f).values
+    calls = []
+
+    def counted(name, call):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return call(*args, **kwargs)
+        return wrapper
+
+    for module in (gs, models, sampling):
+        for name in ("rotate_sequence", "quasi_regular_apply"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    got = semidirect_sample_and_reconstruct(model, proc, f).values
+    assert calls == []
+    assert np.array_equal(got, want)
+
+
 def test_build_and_op_leave_the_sampling_functions_unread(monkeypatch):
     """The op reads the betas only; the S_m are computed when ``functions`` is first read."""
     transform, calls = sampling.analysis_transform, []
