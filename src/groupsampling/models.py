@@ -10,7 +10,8 @@ Two scenarios are provided:
   square torus, U(s, gamma) f(t) = f(gamma^T (t - s)), which reduces to the
   translation scenario with one rotated generator per rotation.  The action
   permutes the torus points: windows and generators are gathered through the
-  model's one table, ``rotation_perms``.
+  model's one table, ``rotation_perms``, and the model keeps the rotated
+  generators and the windows' spectra.
 
 Inner products use counting measure: <f, g> = sum f * conj(g).
 """
@@ -335,6 +336,18 @@ class SemidirectModel:
         perms.setflags(write=False)
         return perms
 
+    @cached_property
+    def generators(self) -> tuple[GroupSequence, ...]:
+        """The base generator rotated into each sector: the generators of the reduction."""
+        return tuple(GroupSequence(self.torus, v) for v in self.varphi.values[self.rotation_perms])
+
+    @cached_property
+    def window_spectra(self) -> np.ndarray:
+        """Read-only (rotations, order) conjugated transforms of the rotated windows."""
+        spectra = np.conj(self.torus.fft(self.phi.values[self.rotation_perms]))
+        spectra.setflags(write=False)
+        return spectra
+
     def rotation_index(self, gamma) -> int:
         """Index of a rotation given as an index or a 2x2 integer matrix."""
         if isinstance(gamma, (int, np.integer)):
@@ -409,13 +422,11 @@ class SemidirectReduction:
 
 def semidirect_reduce(model: SemidirectModel) -> SemidirectReduction:
     """Rewrite the semidirect scenario as a translation scenario on the torus."""
-    generators = tuple(GroupSequence(model.torus, v)
-                       for v in model.varphi.values[model.rotation_perms])
     translation = TranslationModel(
         ambient=model.torus,
         phi=model.phi,
         subgroup=model.lattice,
-        generators=generators,
+        generators=model.generators,
     )
     return SemidirectReduction(source=model, model=translation)
 

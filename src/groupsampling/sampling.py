@@ -9,7 +9,9 @@ gathers the samples' spectra over H at the restriction of each character of G.
 Also covers the single-generator (Shannon-type) special case, regrouping over
 a finite-index subgroup of the sampling group, the square-system
 interpolation property, and the rotation-twisted scenario on a torus, which
-never leaves the transfer domain: its samples are A^(k) c^(k) per character k.
+never leaves the transfer domain: its samples are A^(k) c^(k) per character k,
+and its kernels multiply the windows' spectra kept on the model with the betas'
+spectra kept beside the betas, so a signal costs one transform each way.
 """
 
 from __future__ import annotations
@@ -33,10 +35,15 @@ SampleSet = VectorSequence
 
 @dataclass(frozen=True, eq=False)
 class SamplingFunctions:
-    """Reconstruction kernels: one function on the ambient group per sample channel."""
+    """Reconstruction kernels: one function on the ambient group per sample channel.
+
+    ``betas`` are the synthesized dual columns and ``beta_spectra`` their read-only
+    (channels, order) transforms, made with them.
+    """
 
     model: TranslationModel
     betas: tuple[GroupSequence, ...]
+    beta_spectra: np.ndarray
     coefficient_frame_bounds: tuple[float, float]
 
     @cached_property
@@ -130,11 +137,14 @@ def build_sampling_functions(proc: SamplingProcedure) -> SamplingFunctions:
     """Reconstruction kernels S_m: correlations of the synthesized dual columns."""
     betas = tuple(synthesize(proc.model, proc.dual.coefficients.column(m))
                   for m in range(proc.n_channels))
+    spectra = proc.model.ambient.fft(np.stack([b.values for b in betas]))
+    spectra.setflags(write=False)
     b = proc.dual.transfer.matrices
     outer = np.matmul(b, np.conj(b.transpose(0, 2, 1)))
     eigs = np.linalg.eigvalsh(outer)
     bounds = (float(eigs[:, 0].min()), float(eigs[:, -1].max()))
-    return SamplingFunctions(model=proc.model, betas=betas, coefficient_frame_bounds=bounds)
+    return SamplingFunctions(model=proc.model, betas=betas, beta_spectra=spectra,
+                             coefficient_frame_bounds=bounds)
 
 
 def _sum_translates(proc: SamplingProcedure, sample_spectra: np.ndarray,
@@ -297,26 +307,35 @@ def interpolation_check(proc: SamplingProcedure) -> float:
     return worst
 
 
+def _same_values(a: GroupSequence, b: GroupSequence) -> bool:
+    return a is b or np.array_equal(a.values, b.values)
+
+
 def semidirect_sample_and_reconstruct(model: SemidirectModel,
                                       proc: SamplingProcedure,
                                       f: GroupSequence) -> FunctionOnG:
     """Reconstruct the full correlation table F(s, gamma) from lattice samples.
 
-    The procedure must be built on the reduction of the model (rotated
-    generators over the lattice).  Samples are taken only at the lattice with
-    the trivial rotation; the reconstruction evaluates every torus point in
-    every rotation sector.
+    The procedure must be built on the reduction of the model: its window and
+    generators are the model's window and rotated generators (the same objects,
+    or equal values).  Samples are taken only at the lattice with the trivial
+    rotation; the reconstruction evaluates every torus point in every rotation
+    sector.  Only ``f`` is transformed: the kernels' spectra are kept on the
+    model and the procedure's sampling functions.
     """
     if proc.model.ambient != model.torus or proc.model.subgroup != model.lattice:
         raise GroupMismatchError("procedure was not built on this model's reduction")
     if proc.model.n_generators != model.n_rotations:
         raise DimensionMismatchError(
             "procedure generators do not match the rotation group")
+    if not (_same_values(proc.model.phi, model.phi)
+            and (proc.model.generators is model.generators
+                 or all(map(_same_values, proc.model.generators, model.generators)))):
+        raise GroupMismatchError("procedure was not built on this model's reduction")
     # samples: s^(k) = A^(k) c^(k) at each character k of H
     c_hat = _coefficient_spectra(proc.model, f)
     s_hat = np.matmul(transfer(proc.system).matrices, c_hat[:, :, None])[:, :, 0].T
     # kernel (i, m) is beta_m correlated with the window rotated into sector i
-    g = model.torus
-    windows = np.conj(g.fft(model.phi.values[model.rotation_perms]))
-    betas = g.fft(np.stack([b.values for b in proc.sampling_functions.betas]))
-    return FunctionOnG(g, _sum_translates(proc, s_hat, (windows * b for b in betas)))
+    kernels = (model.window_spectra * b for b in proc.sampling_functions.beta_spectra)
+    return FunctionOnG(model.torus, _sum_translates(proc, s_hat, kernels))
+
