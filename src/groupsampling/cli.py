@@ -31,7 +31,7 @@ from .frames import (DEFAULT_ORACLE_CAP, check_determinant_sandwich, diagnostics
 from .groups import (GroupSequence, GroupSpec, convolve, dft, exact_norm_sq, idft,
                      involution)
 from .models import (analysis_transform, compose_group_law, quasi_regular_apply,
-                     sample_matrix, semidirect_analysis, synthesize)
+                     sample_matrix, synthesize)
 from .report import render_report
 from .sampling import (LEFT_INVERSE_KINDS, SamplingProcedure, interpolation_check,
                        make_procedure, reconstruct_coefficients, reconstruct_function,
@@ -131,7 +131,7 @@ def _roundtrip_checks(config: ScenarioConfig, proc: SamplingProcedure,
         x = VectorSequence(habs, draw((habs.order, n)).T)  # component-major for the vector space
         f = synthesize(proc.model, x)
         out = semidirect_sample_and_reconstruct(config.source, proc, f)
-        direct = semidirect_analysis(config.source, f)
+        direct = analysis_transform(proc.model, f)
         checks.append(_check("semidirect_function_residual",
                              (out - direct).max_abs() / max(1.0, direct.max_abs()),
                              config.tolerance("semidirect_residual")))

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import threading
 from dataclasses import dataclass
 from functools import cached_property
@@ -269,11 +270,11 @@ class GroupSpec:
         return GroupElement(self, (0,) * self.ndim)
 
     def element_at(self, index: int) -> GroupElement:
-        return GroupElement(self, tuple(int(c) for c in self.coords_array[index]))
+        return GroupElement(self, tuple(self.coords_array[index]))
 
     def elements(self) -> Iterator[GroupElement]:
         for row in self.coords_array:
-            yield GroupElement(self, tuple(int(c) for c in row))
+            yield GroupElement(self, tuple(row))
 
     @cached_property
     def negation_perm(self) -> np.ndarray:
@@ -333,7 +334,7 @@ class GroupSpec:
 
 @dataclass(frozen=True)
 class GroupElement:
-    """An element of a :class:`GroupSpec`, stored with reduced coordinates."""
+    """An element of a :class:`GroupSpec`, stored with reduced integer coordinates."""
 
     group: GroupSpec
     coords: tuple[int, ...]
@@ -342,7 +343,7 @@ class GroupElement:
         if len(self.coords) != self.group.ndim:
             raise ValueError(
                 f"expected {self.group.ndim} coordinates, got {len(self.coords)}")
-        reduced = tuple(int(c) % s for c, s in zip(self.coords, self.group.moduli))
+        reduced = tuple(operator.index(c) % s for c, s in zip(self.coords, self.group.moduli))
         object.__setattr__(self, "coords", reduced)
 
     @property

@@ -7,11 +7,11 @@ Two scenarios are provided:
   subgroup translates of a generator set, whose Gram splits into one N x N
   fiber Gram per character of the subgroup;
 * the quasi-regular representation of a finite rotation group acting on a
-  square torus, U(s, gamma) f(t) = f(gamma^T (t - s)), which reduces to the
-  translation scenario with one rotated generator per rotation.  The action
-  permutes the torus points: windows and generators are gathered through the
-  model's one table, ``rotation_perms``, and the model keeps the rotated
-  generators and the windows' spectra.
+  square torus, U(s, gamma) f(t) = f(gamma^T (t - s)) = (T_s R_gamma f)(t),
+  which reduces to a translation model with one rotated generator and one
+  rotated window per rotation, whose analysis has one sector per window.  The
+  action permutes the torus points: the model gathers its windows and
+  generators through its one table, ``rotation_perms``.
 
 Inner products use counting measure: <f, g> = sum f * conj(g).
 """
@@ -38,11 +38,11 @@ _ROTATION_SETS = {
 
 
 class FunctionOnG(GroupArray):
-    """A function table on a finite group, optionally with rotation sectors.
+    """A function table on a finite group, with one sector per analysis window.
 
-    Translation scenarios produce single-sector tables indexed by the group;
-    semidirect scenarios produce one sector per rotation, so the domain is
-    group x rotations.
+    A one-window model produces a single-sector table indexed by the group; the
+    reduction of a semidirect model has one window per rotation, so its domain
+    is group x rotations.
     """
 
     __slots__ = ()  # values: the stack rule, GroupArray._shaped
@@ -53,6 +53,8 @@ class FunctionOnG(GroupArray):
 
     def at(self, point: GroupElement, sector: int = 0) -> complex:
         _same_group(self.group, point.group, "evaluation point on a different group")
+        if not 0 <= sector < self.sectors:
+            raise ValueError(f"sector {sector} outside the {self.sectors} sectors")
         return complex(self.values[sector, point.index])
 
     def flat(self) -> np.ndarray:
@@ -72,14 +74,15 @@ class FunctionOnG(GroupArray):
 class TranslationModel:
     """Translation representation on a finite abelian group.
 
-    Holds the analysis window, the sampling subgroup and the generator set of
-    the invariant subspace.  Construction validates shapes and stores the
-    window's spectral report; the Riesz-sequence bounds of the generator
+    Holds the analysis windows, the sampling subgroup and the generator set of
+    the invariant subspace.  ``phi`` is one window, or an (R, order) stack of R
+    windows whose analysis has one sector each.  Construction validates shapes;
+    the windows' spectra and the Riesz-sequence bounds of the generator
     translates are computed on demand and enforced where procedures need them.
     """
 
     ambient: GroupSpec
-    phi: GroupSequence
+    phi: GroupSequence | VectorSequence
     subgroup: ProductSubgroup
     generators: tuple[GroupSequence, ...]
 
@@ -113,9 +116,16 @@ class TranslationModel:
         return arrays
 
     @cached_property
+    def window_spectra(self) -> np.ndarray:
+        """Read-only (windows, order) conjugated transforms of the windows."""
+        spectra = np.conj(self.ambient.fft(self.phi.values.reshape(-1, self.ambient.order)))
+        spectra.setflags(write=False)
+        return spectra
+
+    @cached_property
     def window_spectrum(self) -> np.ndarray:
-        """|phi^(xi)|^2 per character: the eigenvalues of the window frame operator."""
-        return np.abs(self.ambient.fft(self.phi.values)) ** 2
+        """sum_i |phi_i^(xi)|^2 per character: the eigenvalues of the window frame operator."""
+        return (np.abs(self.window_spectra) ** 2).sum(axis=0)
 
     @property
     def window_bounds(self) -> tuple[float, float]:
@@ -141,10 +151,12 @@ class TranslationModel:
 
 
 def analysis_transform(model: TranslationModel, f: GroupSequence) -> FunctionOnG:
-    """Correlation against window translates: F(t) = sum_s f(s) conj(phi(s - t))."""
+    """Correlation against window translates, F_i(t) = sum_s f(s) conj(phi_i(s - t)), one
+    sector per window, from one exact convolution of f stacked against the windows."""
     if f.group != model.ambient:
         raise GroupMismatchError("input is not on the ambient group")
-    return FunctionOnG(model.ambient, convolve(f, involution(model.phi)).values)
+    stack = type(model.phi)(model.ambient, np.broadcast_to(f.values, model.phi.values.shape))
+    return FunctionOnG(model.ambient, convolve(stack, involution(model.phi)).values)
 
 
 def synthesize(model: TranslationModel, x: VectorSequence) -> GroupSequence:
@@ -277,6 +289,8 @@ def reproducing_kernel(model: TranslationModel) -> ReproducingKernel:
     the kernel projects onto all of it: with psi the invertible matrix of
     translates, psi* (psi psi*)^{-1} psi = I, returned without forming S.
     """
+    if len(model.window_spectra) != 1:
+        raise DimensionMismatchError("the kernel of several windows is a projection, not I")
     lo, hi = model.window_bounds
     if _rank_deficient(lo, hi):
         raise FrameConditionError(
@@ -342,11 +356,9 @@ class SemidirectModel:
         return tuple(GroupSequence(self.torus, v) for v in self.varphi.values[self.rotation_perms])
 
     @cached_property
-    def window_spectra(self) -> np.ndarray:
-        """Read-only (rotations, order) conjugated transforms of the rotated windows."""
-        spectra = np.conj(self.torus.fft(self.phi.values[self.rotation_perms]))
-        spectra.setflags(write=False)
-        return spectra
+    def windows(self) -> VectorSequence:
+        """The window rotated into each sector: the windows of the reduction."""
+        return VectorSequence(self.torus, self.phi.values[self.rotation_perms])
 
     def rotation_index(self, gamma) -> int:
         """Index of a rotation given as an index or a 2x2 integer matrix."""
@@ -373,7 +385,7 @@ def quasi_regular_apply(model: SemidirectModel, shift, gamma,
     idx = model.rotation_index(gamma)
     _same_group(f.group, model.torus, "sequence is not on the torus")
     if not isinstance(shift, GroupElement):
-        shift = model.torus.element(tuple(int(c) for c in shift))
+        shift = model.torus.element(tuple(shift))
     _same_group(shift.group, model.torus, "shift is not a torus element")
     src = model.rotation_perms[idx][model.torus.translation_perm(shift.index)]
     return GroupSequence(model.torus, f.values[src])
@@ -386,45 +398,29 @@ def compose_group_law(model: SemidirectModel, a: tuple, b: tuple) -> tuple:
     c1 = np.asarray(s1.coords if isinstance(s1, GroupElement) else tuple(s1))
     c2 = np.asarray(s2.coords if isinstance(s2, GroupElement) else tuple(s2))
     r1 = model.rotations[i1]
-    return (model.torus.element(tuple(int(c) for c in c1 + r1 @ c2)),
+    return (model.torus.element(tuple(c1 + r1 @ c2)),
             model.rotation_index(r1 @ model.rotations[i2]))
 
 
 @dataclass(frozen=True, eq=False)
 class SemidirectReduction:
-    """Translation-scenario data equivalent to a semidirect model.
+    """A semidirect model and the translation model it reduces to.
 
-    Generators are the rotated copies of the base generator, one per rotation;
-    coefficients on the semidirect group (stored lattice-point-major as an
-    array of shape (lattice order, rotations)) regroup into one component per
-    rotation and back.
+    The translation model's generators are the rotated copies of the base
+    generator and its windows the rotated copies of the window, one per
+    rotation, so coefficient component i is the rotation-i sector of the
+    semidirect group's coefficients.
     """
 
     source: SemidirectModel
     model: TranslationModel
-
-    def regroup(self, coefficients: np.ndarray) -> VectorSequence:
-        arr = np.asarray(coefficients, dtype=np.complex128)
-        kdim = self.model.subgroup.abstract_group.order
-        n = self.model.n_generators
-        if arr.shape != (kdim, n):
-            raise DimensionMismatchError(
-                f"expected coefficients of shape ({kdim}, {n}), got {arr.shape}")
-        return VectorSequence(self.model.subgroup.abstract_group, arr.T)
-
-    def ungroup(self, x: VectorSequence) -> np.ndarray:
-        if x.group != self.model.subgroup.abstract_group:
-            raise GroupMismatchError("coefficients are not on the abstract lattice")
-        if x.n_components != self.model.n_generators:
-            raise DimensionMismatchError("component count does not match the rotations")
-        return x.values.T.copy()
 
 
 def semidirect_reduce(model: SemidirectModel) -> SemidirectReduction:
     """Rewrite the semidirect scenario as a translation scenario on the torus."""
     translation = TranslationModel(
         ambient=model.torus,
-        phi=model.phi,
+        phi=model.windows,
         subgroup=model.lattice,
         generators=model.generators,
     )
@@ -432,9 +428,6 @@ def semidirect_reduce(model: SemidirectModel) -> SemidirectReduction:
 
 
 def semidirect_analysis(model: SemidirectModel, f: GroupSequence) -> FunctionOnG:
-    """Full correlation table F(s, gamma) = <f, U(s, gamma) phi>, one sector per rotation,
-    from one exact convolution of f against the stack of rotated windows."""
-    _same_group(f.group, model.torus, "input is not on the torus")
-    windows = VectorSequence(model.torus, model.phi.values[model.rotation_perms])
-    stack = VectorSequence(model.torus, np.broadcast_to(f.values, windows.values.shape))
-    return FunctionOnG(model.torus, convolve(stack, involution(windows)).values)
+    """Full correlation table F(s, gamma) = <f, U(s, gamma) phi>, one sector per rotation:
+    the analysis of the reduction, whose windows are the rotated windows."""
+    return analysis_transform(semidirect_reduce(model).model, f)

@@ -10,8 +10,9 @@ Also covers the single-generator (Shannon-type) special case, regrouping over
 a finite-index subgroup of the sampling group, the square-system
 interpolation property, and the rotation-twisted scenario on a torus, which
 never leaves the transfer domain: its samples are A^(k) c^(k) per character k,
-and its kernels multiply the windows' spectra kept on the model with the betas'
-spectra kept beside the betas, so a signal costs one transform each way.
+and its kernels multiply the windows' spectra kept on the procedure's model
+with the betas' spectra kept beside the betas, so a signal costs one transform
+each way.  A model with R windows reconstructs R sectors.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ class SamplingFunctions:
 
     @cached_property
     def functions(self) -> tuple[FunctionOnG, ...]:
-        """The S_m, correlations of the betas with the window, computed on first read."""
+        """The S_m, correlations of the betas with the windows, computed on first read."""
         return tuple(analysis_transform(self.model, beta) for beta in self.betas)
 
 
@@ -169,7 +170,7 @@ def reconstruct_function(proc: SamplingProcedure, samples: SampleSet) -> Functio
     if samples.group != proc.system.group:
         raise GroupMismatchError("samples are not on the abstract sampling group")
     g = proc.model.ambient
-    kernels = g.fft(np.stack([s.flat() for s in proc.sampling_functions.functions]))
+    kernels = g.fft(np.stack([s.values for s in proc.sampling_functions.functions]))
     return FunctionOnG(g, _sum_translates(proc, samples.group.fft(samples.values), kernels))
 
 
@@ -184,7 +185,9 @@ def shannon_procedure(model: TranslationModel, tol: float | None = None) -> Samp
         raise DimensionMismatchError(
             f"pointwise-only sampling needs a single generator, got "
             f"{model.n_generators}")
-    system = sample_matrix(model, [model.phi])
+    if len(model.window_spectra) != 1:
+        raise DimensionMismatchError("pointwise-only sampling needs a single window")
+    system = sample_matrix(model, [GroupSequence(model.ambient, model.phi.values)])
     diagnostics(system, tol).require_invertible(
         "pointwise sampling is unstable: the correlation transform vanishes "
         "at character {xi} (|value|={abs_det:.3e}); consider "
@@ -307,8 +310,9 @@ def interpolation_check(proc: SamplingProcedure) -> float:
     return worst
 
 
-def _same_values(a: GroupSequence, b: GroupSequence) -> bool:
-    return a is b or np.array_equal(a.values, b.values)
+def _same_values(a, b) -> bool:
+    """Same object, or equal values: a window and a stack of one are the same window."""
+    return a is b or np.array_equal(a.values.ravel(), b.values.ravel())
 
 
 def semidirect_sample_and_reconstruct(model: SemidirectModel,
@@ -316,19 +320,19 @@ def semidirect_sample_and_reconstruct(model: SemidirectModel,
                                       f: GroupSequence) -> FunctionOnG:
     """Reconstruct the full correlation table F(s, gamma) from lattice samples.
 
-    The procedure must be built on the reduction of the model: its window and
-    generators are the model's window and rotated generators (the same objects,
+    The procedure must be built on the reduction of the model: its windows and
+    generators are the model's rotated windows and generators (the same objects,
     or equal values).  Samples are taken only at the lattice with the trivial
     rotation; the reconstruction evaluates every torus point in every rotation
-    sector.  Only ``f`` is transformed: the kernels' spectra are kept on the
-    model and the procedure's sampling functions.
+    sector, as :func:`reconstruct_function` does.  Only ``f`` is transformed: the
+    kernels' spectra are kept on the procedure's model and sampling functions.
     """
     if proc.model.ambient != model.torus or proc.model.subgroup != model.lattice:
         raise GroupMismatchError("procedure was not built on this model's reduction")
     if proc.model.n_generators != model.n_rotations:
         raise DimensionMismatchError(
             "procedure generators do not match the rotation group")
-    if not (_same_values(proc.model.phi, model.phi)
+    if not (_same_values(proc.model.phi, model.windows)
             and (proc.model.generators is model.generators
                  or all(map(_same_values, proc.model.generators, model.generators)))):
         raise GroupMismatchError("procedure was not built on this model's reduction")
@@ -336,6 +340,6 @@ def semidirect_sample_and_reconstruct(model: SemidirectModel,
     c_hat = _coefficient_spectra(proc.model, f)
     s_hat = np.matmul(transfer(proc.system).matrices, c_hat[:, :, None])[:, :, 0].T
     # kernel (i, m) is beta_m correlated with the window rotated into sector i
-    kernels = (model.window_spectra * b for b in proc.sampling_functions.beta_spectra)
+    kernels = (proc.model.window_spectra * b for b in proc.sampling_functions.beta_spectra)
     return FunctionOnG(model.torus, _sum_translates(proc, s_hat, kernels))
 

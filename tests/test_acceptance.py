@@ -284,7 +284,8 @@ class TestAcceptance:
         worst_recon = 0.0
         for _ in range(5):
             coeffs = rng.standard_normal((16, 2)) + 1j * rng.standard_normal((16, 2))
-            f = synthesize(red.model, red.regroup(coeffs))
+            f = synthesize(red.model, VectorSequence(red.model.subgroup.abstract_group,
+                                                     coeffs.T))
             out = semidirect_sample_and_reconstruct(model, proc, f)
             direct = semidirect_analysis(model, f)
             worst_recon = max(worst_recon,

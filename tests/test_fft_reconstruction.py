@@ -67,7 +67,7 @@ def test_semidirect_quarter_turns_match_direct_analysis():
     probes = [GroupSequence(torus, rng.standard_normal(144)) for _ in range(5)]
     proc = make_procedure(red.model, probes=probes)
     coeffs = rng.standard_normal((16, 4)) + 1j * rng.standard_normal((16, 4))
-    f = synthesize(red.model, red.regroup(coeffs))
+    f = synthesize(red.model, VectorSequence(red.model.subgroup.abstract_group, coeffs.T))
     out = semidirect_sample_and_reconstruct(model, proc, f)
     direct = semidirect_analysis(model, f)
     assert out.sectors == 4

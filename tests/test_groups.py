@@ -67,6 +67,17 @@ class TestElements:
         assert coords == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
         assert [g.element(c).index for c in coords] == list(range(6))
 
+    def test_coordinates_must_be_integers(self):
+        """A float coordinate is refused, not truncated; numpy integers are read as ints."""
+        g = GroupSpec((4, 4))
+        for coords in ((1.7, 0), (0, 2.0), (np.float64(1.0), 0)):
+            with pytest.raises(TypeError):
+                g.element(coords)
+        e = g.element((np.int64(-3), np.int32(6)))
+        assert e.coords == (1, 2) and all(type(c) is int for c in e.coords)
+        assert all(type(c) is int for c in g.element_at(7).coords)
+        assert all(type(c) is int for e in g.elements() for c in e.coords)
+
     @settings(max_examples=200, deadline=None)
     @given(small_moduli, st.data())
     def test_ravel_is_the_index_of_the_reduced_element(self, moduli, data):

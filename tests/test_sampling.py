@@ -380,7 +380,8 @@ class TestSemidirectPipeline:
         proc = make_procedure(red.model, probes=probes)
         kdim = red.model.subgroup.abstract_group.order
         coeffs = rng.standard_normal((kdim, 2)) + 1j * rng.standard_normal((kdim, 2))
-        f = synthesize(red.model, red.regroup(coeffs))
+        x = VectorSequence(red.model.subgroup.abstract_group, coeffs.T)
+        f = synthesize(red.model, x)
         out = semidirect_sample_and_reconstruct(model, proc, f)
         direct = semidirect_analysis(model, f)
         assert (out - direct).max_abs() < 1e-8 * max(1.0, direct.max_abs())
@@ -396,10 +397,11 @@ class TestSemidirectPipeline:
         probes = [GroupSequence(torus, rng.standard_normal(16)) for _ in range(2)]
         proc = make_procedure(red.model, probes=probes)
         coeffs = rng.standard_normal((4, 1)) + 1j * rng.standard_normal((4, 1))
-        f = synthesize(red.model, red.regroup(coeffs))
+        x = VectorSequence(red.model.subgroup.abstract_group, coeffs.T)
+        f = synthesize(red.model, x)
         out = semidirect_sample_and_reconstruct(model, proc, f)
         assert out.sectors == 1
-        abelian = reconstruct_function(proc, take_samples(proc, red.regroup(coeffs)))
+        abelian = reconstruct_function(proc, take_samples(proc, x))
         assert np.abs(out.values[0] - abelian.flat()).max() < 1e-9
 
     def test_zero_function(self):

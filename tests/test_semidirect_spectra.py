@@ -1,7 +1,8 @@
-"""The semidirect op reads its kernels' spectra from the model and the procedure.
+"""The semidirect op reads its kernels' spectra from the procedure's model and kernels.
 
-``SemidirectModel.window_spectra`` (the conjugated transforms of the rotated
-windows) is kept on the model and ``SamplingFunctions.beta_spectra`` (the
+``TranslationModel.window_spectra`` (the conjugated transforms of the windows,
+on a reduction the rotated ones) is kept on the reduction's translation model
+and ``SamplingFunctions.beta_spectra`` (the
 transforms of the synthesized dual columns) is made with the betas, so a call
 of ``semidirect_sample_and_reconstruct`` transforms only its signal.  These
 tests check that the op keeps its bits against the inline formula with fresh
@@ -84,8 +85,9 @@ def test_warm_op_transforms_only_its_signal(label, side, monkeypatch):
 @pytest.mark.parametrize("label, side", CASES)
 def test_kept_spectra_are_read_only(label, side):
     model, proc, f = _setup(label, side)
-    windows, betas = model.window_spectra, proc.sampling_functions.beta_spectra
-    assert model.window_spectra is windows
+    reduced = semidirect_reduce(model).model
+    windows, betas = reduced.window_spectra, proc.sampling_functions.beta_spectra
+    assert reduced.window_spectra is windows
     assert windows.shape == (model.n_rotations, model.torus.order)
     assert betas.shape == (proc.n_channels, model.torus.order)
     for spectra in (windows, betas):

@@ -212,7 +212,7 @@ def test_build_and_op_leave_the_sampling_functions_unread(monkeypatch):
     functions = kernels.functions
     assert len(calls) == proc.n_channels and kernels.functions is functions
     for beta, s_m in zip(kernels.betas, functions):
-        assert np.array_equal(s_m.flat(), transform(proc.model, beta).flat())
+        assert np.array_equal(s_m.values, transform(proc.model, beta).values)
 
 
 @st.composite
