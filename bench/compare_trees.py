@@ -85,7 +85,11 @@ outputs and prints them, encoded bit for bit, as one JSON object:
 
 The two outputs are compared key by key.  Prints the number of outputs
 compared and each one that differs; exits 0 when every output is bitwise
-equal, 1 otherwise.
+equal, 1 otherwise.  When both sides of a differing output decode to arrays of
+the same shape (the encoded values, or a report's floats in order with every
+other field equal), the line also gives the largest relative deviation,
+max |a - b| / max(|a|, |b|) over the whole output, so that a change of
+round-off can be bounded, not only counted.
 """
 
 from __future__ import annotations
@@ -270,6 +274,53 @@ def _semidirect_outputs(out: dict) -> None:
                 lambda: gs.semidirect_sample_and_reconstruct(model, proc, f).values)
 
 
+def _decoded(output):
+    """(everything but the numbers, array of the numbers) of an output, or None.
+
+    An encoded value decodes to its complex values; a CLI run whose stdout is a
+    report decodes to the report's floats, in order, and its other fields.
+    """
+    import numpy as np
+
+    if isinstance(output, str):
+        try:
+            return None, np.frombuffer(bytes.fromhex(output), dtype=np.complex128)
+        except ValueError:  # an exception's message, or a JSON dump
+            return None
+    if not isinstance(output, dict) or not isinstance(output["stdout"], list):
+        return None
+    floats = []
+
+    def skeleton(node):
+        if isinstance(node, list) and node[:1] == ["float"]:
+            floats.append(float.fromhex(node[1]))
+            return "float"
+        return [skeleton(v) for v in node] if isinstance(node, list) else node
+
+    return [skeleton(output["stdout"]), output["stderr"], output["code"]], np.array(floats)
+
+
+def relative_deviation(first, second) -> float | None:
+    """max |a - b| / max(|a|, |b|) of two outputs that decode alike, else None.
+
+    Equal entries (NaN against NaN too) deviate by zero; the scale is the largest
+    finite magnitude on either side.
+    """
+    import numpy as np
+
+    a, b = _decoded(first), _decoded(second)
+    if a is None or b is None or a[0] != b[0] or a[1].shape != b[1].shape:
+        return None
+    a, b = a[1], b[1]
+    with np.errstate(invalid="ignore"):  # inf - inf, which the mask below zeroes
+        diff = np.abs(a - b)
+    diff[(a == b) | (np.isnan(a) & np.isnan(b))] = 0.0
+    both = np.abs(np.concatenate([a, b]))
+    finite = both[np.isfinite(both)]
+    scale = max(float(finite.max()) if finite.size else 0.0, np.finfo(float).tiny)
+    return float(diff.max()) / scale if diff.size else 0.0
+
+
 def _bits(value):
     """A parsed report with each float as its exact hex and each object as ordered pairs."""
     if isinstance(value, float):
@@ -405,7 +456,9 @@ def main(argv=None) -> int:
     first, second = outputs
     differ = sorted(k for k in first.keys() | second.keys() if first.get(k) != second.get(k))
     for key in differ:
-        print(f"differs: {key}")
+        deviation = relative_deviation(first.get(key), second.get(key))
+        tail = "" if deviation is None else f" (largest relative deviation {deviation:.3e})"
+        print(f"differs: {key}{tail}")
     print(f"{len(first.keys() | second.keys())} outputs compared, {len(differ)} differ")
     return 1 if differ else 0
 

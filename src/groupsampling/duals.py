@@ -14,8 +14,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .frames import (NORMAL_EQUATIONS_MIN_RATIO, RANK_RTOL, FrameDiagnostics, diagnostics,
-                     require_frame)
+from .frames import (NORMAL_EQUATIONS_MIN_RATIO, RANK_RTOL, FrameDiagnostics, _spectrum,
+                     diagnostics, require_frame)
 from .systems import SequenceMatrix, TransferMatrix, from_transfer, transfer
 
 
@@ -42,12 +42,11 @@ class LeftInverse:
 
 
 def _pseudo_inverse_matrices(a: SequenceMatrix, diag: FrameDiagnostics) -> np.ndarray:
-    t = transfer(a).matrices
-    th = np.conj(t.transpose(0, 2, 1))
+    t = transfer(a)
     beta_scale = max(diag.beta, np.finfo(float).tiny) ** a.cols
     if diag.delta / beta_scale > NORMAL_EQUATIONS_MIN_RATIO:
-        return np.linalg.solve(np.matmul(th, t), th)
-    return np.linalg.pinv(t, rcond=RANK_RTOL)
+        return np.linalg.solve(_spectrum(t)[0], np.conj(t.matrices.transpose(0, 2, 1)))
+    return np.linalg.pinv(t.matrices, rcond=RANK_RTOL)
 
 
 def moore_penrose(a: SequenceMatrix, tol: float | None = None) -> LeftInverse:

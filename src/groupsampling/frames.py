@@ -98,20 +98,21 @@ def _spectral_gram(t: np.ndarray) -> np.ndarray:
     return np.matmul(np.conj(t.transpose(0, 2, 1)), t)
 
 
-def _spectrum(t: TransferMatrix) -> tuple[np.ndarray, np.ndarray | None]:
-    """Raw ascending spectral Gram eigenvalues and, if square, |det A^(xi)|.
+def _spectrum(t: TransferMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The spectral Gram, its raw ascending eigenvalues and, if square, |det A^(xi)|.
 
     Computed on first use and kept read-only on the transfer matrix, which is
-    immutable and cached on its system, so every verdict on one system shares
-    one eigen-solve and one determinant pass.
+    immutable and cached on its system, so every verdict and dual on one system
+    shares one Gram, one eigen-solve and one determinant pass.
     """
     if t._spectrum is None:
-        eigs = np.linalg.eigvalsh(_spectral_gram(t.matrices))
+        gram = _spectral_gram(t.matrices)
+        eigs = np.linalg.eigvalsh(gram)
         abs_dets = np.abs(np.linalg.det(t.matrices)) if t.rows == t.cols else None
-        for arr in (eigs, abs_dets):
+        for arr in (gram, eigs, abs_dets):
             if arr is not None:
                 arr.setflags(write=False)
-        object.__setattr__(t, "_spectrum", (eigs, abs_dets))
+        object.__setattr__(t, "_spectrum", (gram, eigs, abs_dets))
     return t._spectrum
 
 
@@ -129,7 +130,7 @@ def diagnostics(a: SequenceMatrix, tol: float | None = None) -> FrameDiagnostics
     """
     if tol is not None and tol < 0:
         raise ValueError(f"tolerance must be nonnegative, got {tol}")
-    raw, abs_dets = _spectrum(transfer(a))
+    _, raw, abs_dets = _spectrum(transfer(a))
     eigs = np.maximum(raw, 0.0)
     alpha = float(eigs[:, 0].min())
     beta = float(eigs[:, -1].max())
@@ -218,9 +219,9 @@ def kernel_witness(a: SequenceMatrix) -> VectorSequence:
     where its determinant is smallest; when delta is zero the resulting
     samples vanish, witnessing that recovery cannot succeed.
     """
-    t = transfer(a)
-    k0 = int(np.argmin(_spectrum(t)[0][:, 0]))
-    _, vecs = np.linalg.eigh(_spectral_gram(t.matrices)[k0])
+    gram, eigs, _ = _spectrum(transfer(a))
+    k0 = int(np.argmin(eigs[:, 0]))
+    _, vecs = np.linalg.eigh(gram[k0])
     null_vec = vecs[:, 0]
     xhat = np.zeros((a.group.order, a.cols), dtype=np.complex128)
     xhat[k0] = null_vec

@@ -5,7 +5,7 @@ Two scenarios are provided:
 * translation on the sequence space of a finite abelian group, where the
   representation is U(t) x = x(. - t) and the sampled subspace is spanned by
   subgroup translates of a generator set, whose Gram splits into one N x N
-  fiber Gram per character of the subgroup;
+  fiber Gram per character of the subgroup, whose solves the model keeps;
 * the quasi-regular representation of a finite rotation group acting on a
   square torus, U(s, gamma) f(t) = f(gamma^T (t - s)) = (T_s R_gamma f)(t),
   which reduces to a translation model with one rotated generator and one
@@ -77,8 +77,8 @@ class TranslationModel:
     Holds the analysis windows, the sampling subgroup and the generator set of
     the invariant subspace.  ``phi`` is one window, or an (R, order) stack of R
     windows whose analysis has one sector each.  Construction validates shapes;
-    the windows' spectra and the Riesz-sequence bounds of the generator
-    translates are computed on demand and enforced where procedures need them.
+    the windows' spectra, the fibers, their Riesz bounds and the fiber solves
+    (``coefficient_operator``) need no signal, so each is kept from its first use.
     """
 
     ambient: GroupSpec
@@ -116,6 +116,20 @@ class TranslationModel:
         return arrays
 
     @cached_property
+    def riesz_bounds(self) -> tuple[float, float, int]:
+        """Extreme fiber eigenvalues, and the character of H where the smallest is attained."""
+        eigs = self.fibers[2]
+        return float(eigs[:, 0].min()), float(eigs[:, -1].max()), int(np.argmin(eigs[:, 0]))
+
+    @cached_property
+    def coefficient_operator(self) -> np.ndarray:
+        """Read-only (|H|, N, index) fiber solves solve(gram, T*) / index: one per character."""
+        t, gram, _ = self.fibers
+        op = np.linalg.solve(gram, np.conj(t.transpose(0, 2, 1))) / self.subgroup.index
+        op.setflags(write=False)
+        return op
+
+    @cached_property
     def window_spectra(self) -> np.ndarray:
         """Read-only (windows, order) conjugated transforms of the windows."""
         spectra = np.conj(self.ambient.fft(self.phi.values.reshape(-1, self.ambient.order)))
@@ -141,11 +155,13 @@ class TranslationModel:
         return self.window_bounds[0] > 0.0
 
     def to_json_dict(self) -> dict:
+        if self.phi.values.size != self.ambient.order:
+            raise DimensionMismatchError("a stack of windows: serialize the SemidirectModel")
         return {
             "type": "translation",
             "moduli": list(self.ambient.moduli),
             "H_strides": list(self.subgroup.strides),
-            "phi": self.phi.to_json_dict(),
+            "phi": GroupSequence(self.ambient, self.phi.values).to_json_dict(),
             "generators": [g.to_json_dict() for g in self.generators],
         }
 
@@ -229,26 +245,24 @@ def _fiber_gram(model: TranslationModel) -> tuple[np.ndarray, ...]:
 
 
 def _coefficient_spectra(model: TranslationModel, f: GroupSequence) -> np.ndarray:
-    """(|H|, N) transforms over H of the expansion coefficients: one fiber solve per character."""
+    """(|H|, N) transforms over H of the expansion coefficients: the kept fiber solves of f^."""
     if f.group != model.ambient:
         raise GroupMismatchError("input is not on the ambient group")
-    t, gram, eigs = model.fibers
-    lo, hi = float(eigs[:, 0].min()), float(eigs[:, -1].max())
+    lo, hi, worst = model.riesz_bounds
     if _rank_deficient(lo, hi):
         raise FrameConditionError(
             f"generator translates are not a Riesz sequence "
             f"(Gram eigenvalues span [{lo:.3e}, {hi:.3e}])", delta=lo,
-            xi=model.subgroup.abstract_group.element_at(np.argmin(eigs[:, 0])).coords)
+            xi=model.subgroup.abstract_group.element_at(worst).coords)
     fhat = model.ambient.fft(f.values)[model.subgroup.alias_indices, None]  # (k, alias, 1)
-    rhs = np.matmul(np.conj(t.transpose(0, 2, 1)), fhat) / model.subgroup.index
-    return np.linalg.solve(gram, rhs)[:, :, 0]
+    return np.matmul(model.coefficient_operator, fhat)[:, :, 0]
 
 
 def coefficients_of(model: TranslationModel, f: GroupSequence) -> VectorSequence:
     """Expansion coefficients of a member of the generated subspace.
 
-    Inverse-transforms :func:`_coefficient_spectra`, which solves the fibers kept on the
-    model and tests on every call that the generator translates are a Riesz sequence,
+    Inverse-transforms :func:`_coefficient_spectra`, which applies the fiber solves kept on
+    the model and tests on every call that the generator translates are a Riesz sequence,
     whose bounds are the extreme fiber eigenvalues.  For f outside the subspace this
     returns the coefficients of its orthogonal projection.
     """

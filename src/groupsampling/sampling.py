@@ -9,10 +9,10 @@ gathers the samples' spectra over H at the restriction of each character of G.
 Also covers the single-generator (Shannon-type) special case, regrouping over
 a finite-index subgroup of the sampling group, the square-system
 interpolation property, and the rotation-twisted scenario on a torus, which
-never leaves the transfer domain: its samples are A^(k) c^(k) per character k,
-and its kernels multiply the windows' spectra kept on the procedure's model
-with the betas' spectra kept beside the betas, so a signal costs one transform
-each way.  A model with R windows reconstructs R sectors.
+never leaves the transfer domain: c^(k) is the model's kept fiber solve of the
+signal's transform, its samples are A^(k) c^(k) per character k, and its
+kernels' spectra are made with the sampling functions, so a signal costs one
+transform each way.  A model with R windows reconstructs R sectors.
 """
 
 from __future__ import annotations
@@ -38,13 +38,13 @@ SampleSet = VectorSequence
 class SamplingFunctions:
     """Reconstruction kernels: one function on the ambient group per sample channel.
 
-    ``betas`` are the synthesized dual columns and ``beta_spectra`` their read-only
-    (channels, order) transforms, made with them.
+    ``betas`` are the synthesized dual columns and ``kernel_spectra`` the read-only
+    (channels, windows, order) window spectra times the betas' transforms, made with them.
     """
 
     model: TranslationModel
     betas: tuple[GroupSequence, ...]
-    beta_spectra: np.ndarray
+    kernel_spectra: np.ndarray
     coefficient_frame_bounds: tuple[float, float]
 
     @cached_property
@@ -139,12 +139,13 @@ def build_sampling_functions(proc: SamplingProcedure) -> SamplingFunctions:
     betas = tuple(synthesize(proc.model, proc.dual.coefficients.column(m))
                   for m in range(proc.n_channels))
     spectra = proc.model.ambient.fft(np.stack([b.values for b in betas]))
-    spectra.setflags(write=False)
+    kernels = proc.model.window_spectra[None] * spectra[:, None]
+    kernels.setflags(write=False)
     b = proc.dual.transfer.matrices
     outer = np.matmul(b, np.conj(b.transpose(0, 2, 1)))
     eigs = np.linalg.eigvalsh(outer)
     bounds = (float(eigs[:, 0].min()), float(eigs[:, -1].max()))
-    return SamplingFunctions(model=proc.model, betas=betas, beta_spectra=spectra,
+    return SamplingFunctions(model=proc.model, betas=betas, kernel_spectra=kernels,
                              coefficient_frame_bounds=bounds)
 
 
@@ -324,8 +325,8 @@ def semidirect_sample_and_reconstruct(model: SemidirectModel,
     generators are the model's rotated windows and generators (the same objects,
     or equal values).  Samples are taken only at the lattice with the trivial
     rotation; the reconstruction evaluates every torus point in every rotation
-    sector, as :func:`reconstruct_function` does.  Only ``f`` is transformed: the
-    kernels' spectra are kept on the procedure's model and sampling functions.
+    sector, as :func:`reconstruct_function` does.  Only ``f`` is transformed: the fiber
+    solves are kept on the procedure's model, the kernels' spectra on its sampling functions.
     """
     if proc.model.ambient != model.torus or proc.model.subgroup != model.lattice:
         raise GroupMismatchError("procedure was not built on this model's reduction")
@@ -339,7 +340,7 @@ def semidirect_sample_and_reconstruct(model: SemidirectModel,
     # samples: s^(k) = A^(k) c^(k) at each character k of H
     c_hat = _coefficient_spectra(proc.model, f)
     s_hat = np.matmul(transfer(proc.system).matrices, c_hat[:, :, None])[:, :, 0].T
-    # kernel (i, m) is beta_m correlated with the window rotated into sector i
-    kernels = (proc.model.window_spectra * b for b in proc.sampling_functions.beta_spectra)
-    return FunctionOnG(model.torus, _sum_translates(proc, s_hat, kernels))
+    # kernel (m, i) is beta_m correlated with the window rotated into sector i
+    return FunctionOnG(model.torus,
+                       _sum_translates(proc, s_hat, proc.sampling_functions.kernel_spectra))
 

@@ -1,10 +1,10 @@
-"""The semidirect op reads its kernels' spectra from the procedure's model and kernels.
+"""The semidirect op reads its kernels' spectra from the procedure's sampling functions.
 
 ``TranslationModel.window_spectra`` (the conjugated transforms of the windows,
 on a reduction the rotated ones) is kept on the reduction's translation model
-and ``SamplingFunctions.beta_spectra`` (the
-transforms of the synthesized dual columns) is made with the betas, so a call
-of ``semidirect_sample_and_reconstruct`` transforms only its signal.  These
+and ``SamplingFunctions.kernel_spectra`` (those spectra times the transforms of
+the synthesized dual columns) is made with the betas, so a call of
+``semidirect_sample_and_reconstruct`` transforms only its signal.  These
 tests check that the op keeps its bits against the inline formula with fresh
 transforms, that a warm call makes one forward and one inverse transform, that
 both arrays are read-only, and that a procedure built on another model's
@@ -86,11 +86,11 @@ def test_warm_op_transforms_only_its_signal(label, side, monkeypatch):
 def test_kept_spectra_are_read_only(label, side):
     model, proc, f = _setup(label, side)
     reduced = semidirect_reduce(model).model
-    windows, betas = reduced.window_spectra, proc.sampling_functions.beta_spectra
+    windows, kernels = reduced.window_spectra, proc.sampling_functions.kernel_spectra
     assert reduced.window_spectra is windows
     assert windows.shape == (model.n_rotations, model.torus.order)
-    assert betas.shape == (proc.n_channels, model.torus.order)
-    for spectra in (windows, betas):
+    assert kernels.shape == (proc.n_channels, model.n_rotations, model.torus.order)
+    for spectra in (windows, kernels):
         assert not spectra.flags.writeable
         with pytest.raises(ValueError):
             spectra[0, 0] = 0.0

@@ -1,10 +1,11 @@
 """One spectrum per system, and left inverses that inverse-transform on demand.
 
-``frames._spectrum`` keeps the raw spectral Gram eigenvalues and, for a square
-system, |det A^(xi)| on the system's cached transfer matrix.  Every verdict on
-one system object must then cost one batched ``eigvalsh`` and one batched
-``det`` over the characters, however many verdicts a procedure asks for, and
-a verdict read from the cache must be bitwise the verdict of a fresh object.
+``frames._spectrum`` keeps the spectral Gram, its raw eigenvalues and, for a
+square system, |det A^(xi)| on the system's cached transfer matrix.  Every
+verdict on one system object must then cost one batched ``eigvalsh`` and one
+batched ``det`` over the characters, however many verdicts a procedure asks
+for, and a verdict read from the cache must be bitwise the verdict of a fresh
+object.
 A ``LeftInverse`` builds its sequences only when they are read.
 """
 
@@ -131,9 +132,10 @@ def test_cached_spectrum_is_read_only(case):
     g, values = case
     system = SequenceMatrix(g, values)
     d = diagnostics(system)
-    eigs, abs_dets = _spectrum(transfer(system))
+    gram, eigs, abs_dets = _spectrum(transfer(system))
+    assert gram.tobytes() == _spectral_gram(transfer(system).matrices).tobytes()
     assert (abs_dets is None) == (system.rows != system.cols)
-    for arr in (eigs, abs_dets, d.abs_dets):
+    for arr in (gram, eigs, abs_dets, d.abs_dets):
         if arr is not None:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):

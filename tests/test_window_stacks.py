@@ -7,6 +7,8 @@ of a semidirect model the windows are the rotated windows, so the translation
 pipeline reconstructs every rotation sector of the semidirect analysis.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from groupsampling import (DimensionMismatchError, FunctionOnG, GroupSequence, G
                            semidirect_analysis, semidirect_reduce,
                            semidirect_sample_and_reconstruct, shannon_procedure, synthesize,
                            take_samples)
+from groupsampling.config import parse_model
 
 
 def _complex(rng, shape):
@@ -132,3 +135,26 @@ def test_float_shifts_are_refused():
         compose_group_law(model, ((0.5, 0), 1), ((1, 0), 0))
     shifted = quasi_regular_apply(model, (np.int64(1), 0), 0, f)
     assert np.array_equal(shifted.values, f.shift(model.torus.element((1, 0))).values)
+
+
+@pytest.mark.parametrize("label", ["C1", "C2"])
+def test_one_window_model_payload_round_trips(label):
+    """A one-window model, and a C1 reduction's stack of one, load back as the same model."""
+    model, rng = _semidirect(label, side=4, stride=2, seed=29)
+    plain = TranslationModel(model.torus, model.phi, model.lattice, model.generators)
+    models = [plain] + ([semidirect_reduce(model).model] if label == "C1" else [])
+    for m in models:
+        data = m.to_json_dict()
+        back = parse_model(json.loads(json.dumps(data)))
+        assert isinstance(back, TranslationModel) and back.to_json_dict() == data
+        assert back.phi.values.tobytes() == m.phi.values.reshape(-1).tobytes()
+        assert [g.values.tobytes() for g in back.generators] == [
+            g.values.tobytes() for g in m.generators]
+        assert back.subgroup.strides == m.subgroup.strides
+
+
+@pytest.mark.parametrize("label", ["C2", "C4"])
+def test_window_stack_payload_is_refused(label):
+    model, _ = _semidirect(label, side=4, stride=2, seed=30)
+    with pytest.raises(DimensionMismatchError, match="serialize the SemidirectModel"):
+        semidirect_reduce(model).model.to_json_dict()
