@@ -30,8 +30,12 @@ outputs and prints them, encoded bit for bit, as one JSON object:
   elements), and ``semidirect_sample_and_reconstruct`` with a Moore-Penrose
   procedure on R + 1 seeded probes (R rotations), called twice on the same
   model and procedure, so that the second, warm call reads what the first left
-  cached; these reach the rotations directly, where the reports reach them only
-  through ``roundtrip`` residuals;
+  cached, and ``coefficients_of`` of the dense input on the reduction; these
+  reach the rotations directly, where the reports reach them only through
+  ``roundtrip`` residuals;
+- ``coefficients_of`` on a near-collinear translation model: Z16 x Z16, strides
+  (2, 2), seeded generators g and g + 1e-4 h, whose fiber eigenvalues span about
+  ten decades, of a member of the subspace and of a dense signal;
 - stdout, stderr and exit code of ``verify --all`` at seeds 0 to 9, of
   ``verify --all --seed 3 --inject-fault``, of ``analyze`` and ``roundtrip``
   on every bundled scenario (``roundtrip`` also with ``--left-inverse family``,
@@ -119,6 +123,7 @@ UNREPRESENTABLE = "1e400"  # a JSON number that parses to inf, written into the 
 BAD_ROWS = (1.7, True, "1")  # system.rows values that are not integers
 SEMIDIRECT_LABELS = ("C2", "C4")  # on Z12 x Z12, strides (3, 3)
 SEMIDIRECT_SHIFTS = 6  # seeded (shift, rotation) pairs per model and shift form
+NEAR_COLLINEAR = 1e-4  # the second generator is the first plus this times a seeded one
 SIGNED_ZEROS = {"re": [1.0, -0.0, 0.5, -0.0], "im": [-0.0, 0.25, -0.0, 0.0]}  # on Z4
 GENERATED_SEEDS = range(3)
 GENERATED = "generated_finite_index.json"  # the file ``CliVerify.setup`` writes
@@ -272,6 +277,27 @@ def _semidirect_outputs(out: dict) -> None:
         for call in ("sample_and_reconstruct", "sample_and_reconstruct_warm"):
             out[f"{name}/{call}"] = _encode(
                 lambda: gs.semidirect_sample_and_reconstruct(model, proc, f).values)
+        out[f"{name}/coefficients_of"] = _encode(lambda: gs.coefficients_of(reduced, f).values)
+
+
+def _coefficient_outputs(out: dict) -> None:
+    import numpy as np
+    import groupsampling as gs
+
+    rng = np.random.default_rng(3)
+    g = gs.GroupSpec((16, 16))
+
+    def draw(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    base = draw(g.order)
+    gens = (gs.GroupSequence(g, base), gs.GroupSequence(g, base + NEAR_COLLINEAR * draw(g.order)))
+    model = gs.TranslationModel(g, gs.GroupSequence.delta(g), gs.ProductSubgroup(g, (2, 2)), gens)
+    habs = model.subgroup.abstract_group
+    member = gs.synthesize(model, gs.VectorSequence(habs, draw(2, habs.order)))
+    for kind, f in (("member", member), ("dense", gs.GroupSequence(g, draw(g.order)))):
+        out[f"coefficients_of/near_collinear/{kind}"] = _encode(
+            lambda: gs.coefficients_of(model, f).values)
 
 
 def _decoded(output):
@@ -430,6 +456,7 @@ def emit(src: Path) -> None:
     _kernel_outputs(out)
     _serializer_outputs(out)
     _semidirect_outputs(out)
+    _coefficient_outputs(out)
     _cli_outputs(out, src / "groupsampling" / "scenarios")
     sys.stdout.write(json.dumps(out))
 

@@ -14,8 +14,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .frames import (NORMAL_EQUATIONS_MIN_RATIO, RANK_RTOL, FrameDiagnostics, _spectrum,
-                     diagnostics, require_frame)
+from .frames import (NORMAL_EQUATIONS_MIN_RATIO, RANK_RTOL, _spectrum, diagnostics,
+                     require_frame)
 from .systems import SequenceMatrix, TransferMatrix, from_transfer, transfer
 
 
@@ -34,6 +34,13 @@ class LeftInverse:
     def coefficients(self) -> SequenceMatrix:
         return from_transfer(self.transfer)
 
+    @cached_property
+    def frame_bounds(self) -> tuple[float, float]:
+        """Extreme eigenvalues of B^(xi) B^(xi)* over all characters: sqrt(upper) is the
+        most the left inverse amplifies noise in the samples.  Computed on first read."""
+        eigs = _spectrum(self.transfer.conj_transpose())[1]
+        return float(eigs[:, 0].min()), float(eigs[:, -1].max())
+
     def to_json_dict(self) -> dict:
         data = self.coefficients.to_json_dict()
         data["kind"] = self.kind
@@ -41,11 +48,15 @@ class LeftInverse:
         return data
 
 
-def _pseudo_inverse_matrices(a: SequenceMatrix, diag: FrameDiagnostics) -> np.ndarray:
-    t = transfer(a)
-    beta_scale = max(diag.beta, np.finfo(float).tiny) ** a.cols
-    if diag.delta / beta_scale > NORMAL_EQUATIONS_MIN_RATIO:
-        return np.linalg.solve(_spectrum(t)[0], np.conj(t.matrices.transpose(0, 2, 1)))
+def _pseudo_inverse(t: TransferMatrix) -> np.ndarray:
+    """Per-character pseudo-inverses: the normal equations on the kept spectral Gram while
+    delta / beta^N of its clamped eigenvalues is above ``NORMAL_EQUATIONS_MIN_RATIO``,
+    the rank-tolerant SVD otherwise, where the Gram squares the condition number."""
+    gram, raw, _ = _spectrum(t)
+    eigs = np.maximum(raw, 0.0)
+    beta_scale = max(float(eigs[:, -1].max()), np.finfo(float).tiny) ** t.cols
+    if float(eigs.prod(axis=1).min()) / beta_scale > NORMAL_EQUATIONS_MIN_RATIO:
+        return np.linalg.solve(gram, np.conj(t.matrices.transpose(0, 2, 1)))
     return np.linalg.pinv(t.matrices, rcond=RANK_RTOL)
 
 
@@ -57,9 +68,8 @@ def moore_penrose(a: SequenceMatrix, tol: float | None = None) -> LeftInverse:
     degeneracy.  Requires the frame condition and reports the failing
     determinant infimum otherwise.
     """
-    diag = require_frame(a, tol)
-    mats = _pseudo_inverse_matrices(a, diag)
-    return LeftInverse(TransferMatrix(a.group, mats), "moore_penrose")
+    require_frame(a, tol)
+    return LeftInverse(TransferMatrix(a.group, _pseudo_inverse(transfer(a))), "moore_penrose")
 
 
 def left_inverse_family(a: SequenceMatrix, c: TransferMatrix,
@@ -70,11 +80,11 @@ def left_inverse_family(a: SequenceMatrix, c: TransferMatrix,
     if (c.rows, c.cols) != (a.cols, a.rows):
         raise DimensionMismatchError(
             f"family parameter must be {a.cols}x{a.rows}, got {c.rows}x{c.cols}")
-    diag = require_frame(a, tol)
-    t = transfer(a).matrices
-    dag = _pseudo_inverse_matrices(a, diag)
+    require_frame(a, tol)
+    t = transfer(a)
+    dag = _pseudo_inverse(t)
     eye = np.eye(a.rows)
-    mats = dag + np.matmul(c.matrices, eye - np.matmul(t, dag))
+    mats = dag + np.matmul(c.matrices, eye - np.matmul(t.matrices, dag))
     return LeftInverse(TransferMatrix(a.group, mats), "family")
 
 

@@ -26,11 +26,11 @@ DEFAULT_ORACLE_CAP = 4096
 # an explicit tol is an absolute threshold on delta, and sqrt(tol) the one on
 # each |det A^(xi)| of a square system.
 DEFAULT_FRAME_RTOL = 1e-10
-# Pseudo-inverse by the normal equations while delta / beta^N is above this,
-# by the rank-tolerant SVD otherwise.
+# Pseudo-inverses of a system and of a model's alias matrices: by the normal
+# equations while delta / beta^N is above this, by the rank-tolerant SVD otherwise.
 NORMAL_EQUATIONS_MIN_RATIO = 1e-8
-# Rank cutoff relative to the largest value: singular values of A^(xi) in the
-# SVD pseudo-inverse; in ``models``, fiber Gram eigenvalues and |phi^(xi)|^2.
+# Rank cutoff relative to the largest value: singular values of A^(xi) or T(k) in
+# the SVD pseudo-inverse; in ``models``, fiber Gram eigenvalues and |phi^(xi)|^2.
 RANK_RTOL = 1e-12
 # Largest entrywise deviation of B^(xi) A^(xi) from I that a procedure accepts.
 LEFT_INVERSE_RESIDUAL_TOL = 1e-9

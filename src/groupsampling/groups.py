@@ -236,7 +236,7 @@ class GroupSpec:
     moduli: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        moduli = tuple(int(s) for s in self.moduli)
+        moduli = tuple(operator.index(s) for s in self.moduli)
         if not moduli:
             raise ValueError("a group needs at least one cyclic factor")
         if any(s < 1 for s in moduli):
@@ -573,7 +573,7 @@ class ProductSubgroup:
     strides: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        strides = tuple(int(d) for d in self.strides)
+        strides = tuple(operator.index(d) for d in self.strides)
         if len(strides) != self.parent.ndim:
             raise ValueError(
                 f"expected {self.parent.ndim} strides, got {len(strides)}")

@@ -5,7 +5,8 @@ Two scenarios are provided:
 * translation on the sequence space of a finite abelian group, where the
   representation is U(t) x = x(. - t) and the sampled subspace is spanned by
   subgroup translates of a generator set, whose Gram splits into one N x N
-  fiber Gram per character of the subgroup, whose solves the model keeps;
+  fiber Gram per character of the subgroup; the model keeps the alias matrices,
+  whose spectrum ``frames`` caches, and their pseudo-inverses, the fiber solves;
 * the quasi-regular representation of a finite rotation group acting on a
   square torus, U(s, gamma) f(t) = f(gamma^T (t - s)) = (T_s R_gamma f)(t),
   which reduces to a translation model with one rotated generator and one
@@ -25,10 +26,11 @@ import numpy as np
 
 from .errors import (CapExceededError, DimensionMismatchError, FrameConditionError,
                      GroupMismatchError)
-from .frames import DEFAULT_ORACLE_CAP, RANK_RTOL, _spectral_gram
+from .duals import _pseudo_inverse
+from .frames import DEFAULT_ORACLE_CAP, RANK_RTOL, _spectrum
 from .groups import (GroupArray, GroupElement, GroupSequence, GroupSpec, ProductSubgroup,
                      _same_group, _same_space, convolve, involution)
-from .systems import SequenceMatrix, VectorSequence
+from .systems import SequenceMatrix, TransferMatrix, VectorSequence
 
 _ROTATION_SETS = {
     "C1": ((1, 0, 0, 1),),
@@ -77,8 +79,9 @@ class TranslationModel:
     Holds the analysis windows, the sampling subgroup and the generator set of
     the invariant subspace.  ``phi`` is one window, or an (R, order) stack of R
     windows whose analysis has one sector each.  Construction validates shapes;
-    the windows' spectra, the fibers, their Riesz bounds and the fiber solves
-    (``coefficient_operator``) need no signal, so each is kept from its first use.
+    the windows' spectra, the fibers (alias matrices), their Riesz bounds and their
+    pseudo-inverses (``coefficient_operator``) need no signal, so each is kept from its
+    first use.
     """
 
     ambient: GroupSpec
@@ -108,24 +111,25 @@ class TranslationModel:
         return np.stack([gen.values for gen in self.generators])[:, diff.T]
 
     @cached_property
-    def fibers(self) -> tuple[np.ndarray, ...]:
-        """The read-only alias matrices, fiber Grams and eigenvalues of :func:`_fiber_gram`."""
-        arrays = _fiber_gram(self)
-        for a in arrays:
-            a.setflags(write=False)
-        return arrays
+    def fibers(self) -> TransferMatrix:
+        """The (|H|, index, N) alias matrices T over H; row a of T[k] holds the generators'
+        transforms at the a-th alias of character k.  The Gram of the generator translates
+        is a convolution on H, so the transform over H splits it into one N x N fiber Gram
+        T* T / index per character (Bownik, J. Funct. Anal. 177, 2000)."""
+        spectra = self.ambient.fft(np.stack([gen.values for gen in self.generators]))
+        return TransferMatrix(self.subgroup.abstract_group,
+                              spectra[:, self.subgroup.alias_indices].transpose(1, 2, 0))
 
     @cached_property
     def riesz_bounds(self) -> tuple[float, float, int]:
-        """Extreme fiber eigenvalues, and the character of H where the smallest is attained."""
-        eigs = self.fibers[2]
+        """Extreme fiber Gram eigenvalues, and the character of H where the smallest is attained."""
+        eigs = _spectrum(self.fibers)[1] / self.subgroup.index
         return float(eigs[:, 0].min()), float(eigs[:, -1].max()), int(np.argmin(eigs[:, 0]))
 
     @cached_property
     def coefficient_operator(self) -> np.ndarray:
-        """Read-only (|H|, N, index) fiber solves solve(gram, T*) / index: one per character."""
-        t, gram, _ = self.fibers
-        op = np.linalg.solve(gram, np.conj(t.transpose(0, 2, 1))) / self.subgroup.index
+        """Read-only (|H|, N, index) fiber pseudo-inverses T^dagger: one per character of H."""
+        op = _pseudo_inverse(self.fibers)
         op.setflags(write=False)
         return op
 
@@ -156,7 +160,7 @@ class TranslationModel:
 
     def to_json_dict(self) -> dict:
         if self.phi.values.size != self.ambient.order:
-            raise DimensionMismatchError("a stack of windows: serialize the SemidirectModel")
+            raise DimensionMismatchError("a stack of windows: only one-window models serialize")
         return {
             "type": "translation",
             "moduli": list(self.ambient.moduli),
@@ -228,20 +232,6 @@ def riesz_sequence_check(model: TranslationModel,
     cols = model.generator_translates(model.subgroup.embedding_indices).reshape(size, -1).T
     eigs = np.linalg.eigvalsh(cols.conj().T @ cols)
     return (float(eigs[0]), float(eigs[-1]))
-
-
-def _fiber_gram(model: TranslationModel) -> tuple[np.ndarray, ...]:
-    """Alias matrices T, fiber Grams T* T / index and their ascending eigenvalues.
-
-    The Gram of the generator translates is a convolution on the sampling group
-    H, so the transform over H splits it into one N x N fiber Gram per character
-    k of H (Bownik, J. Funct. Anal. 177, 2000); row a of T[k] holds the
-    generators' transforms at the a-th alias of k.
-    """
-    spectra = model.ambient.fft(np.stack([gen.values for gen in model.generators]))
-    t = spectra[:, model.subgroup.alias_indices].transpose(1, 2, 0)  # (k, alias, n)
-    gram = _spectral_gram(t) / model.subgroup.index
-    return t, gram, np.linalg.eigvalsh(gram)
 
 
 def _coefficient_spectra(model: TranslationModel, f: GroupSequence) -> np.ndarray:

@@ -45,7 +45,6 @@ class SamplingFunctions:
     model: TranslationModel
     betas: tuple[GroupSequence, ...]
     kernel_spectra: np.ndarray
-    coefficient_frame_bounds: tuple[float, float]
 
     @cached_property
     def functions(self) -> tuple[FunctionOnG, ...]:
@@ -141,12 +140,7 @@ def build_sampling_functions(proc: SamplingProcedure) -> SamplingFunctions:
     spectra = proc.model.ambient.fft(np.stack([b.values for b in betas]))
     kernels = proc.model.window_spectra[None] * spectra[:, None]
     kernels.setflags(write=False)
-    b = proc.dual.transfer.matrices
-    outer = np.matmul(b, np.conj(b.transpose(0, 2, 1)))
-    eigs = np.linalg.eigvalsh(outer)
-    bounds = (float(eigs[:, 0].min()), float(eigs[:, -1].max()))
-    return SamplingFunctions(model=proc.model, betas=betas, kernel_spectra=kernels,
-                             coefficient_frame_bounds=bounds)
+    return SamplingFunctions(model=proc.model, betas=betas, kernel_spectra=kernels)
 
 
 def _sum_translates(proc: SamplingProcedure, sample_spectra: np.ndarray,
@@ -251,7 +245,7 @@ class FiniteIndexReduction:
 
 def finite_index_model(model: TranslationModel, inner_strides) -> FiniteIndexReduction:
     """Split the model's generators over the cosets of a finite-index subgroup."""
-    inner = ProductSubgroup(model.subgroup.abstract_group, tuple(int(e) for e in inner_strides))
+    inner = ProductSubgroup(model.subgroup.abstract_group, inner_strides)
     reps = tuple(coset_representatives(inner))
     shifts = model.subgroup.embedding_indices[inner.coset_indices[:, 0]]  # embed(rep_l)
     translates = model.generator_translates(shifts).reshape(-1, model.ambient.order)

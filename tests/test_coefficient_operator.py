@@ -2,13 +2,14 @@
 
 Every factor of the per-character solve for a signal's coefficients except the
 signal's transform depends on the model alone, so ``TranslationModel`` keeps
-``coefficient_operator``, the (|H|, N, index) array solve(gram, T*) / index, and
-``coefficients_of`` applies it with one batched product.  The sampling functions
-keep ``kernel_spectra``, the windows' spectra times the betas' transforms, made
-when they are built.  These tests check the coefficients against a dense
-least-squares oracle on the generator translates, that a warm semidirect op and a
-warm ``coefficients_of`` make no solve, and that both arrays are cached and
-read-only.
+``coefficient_operator``, the (|H|, N, index) pseudo-inverses of its alias
+matrices ``fibers`` (the normal equations solve(T* T, T*) on these
+well-conditioned models), and ``coefficients_of`` applies it with one batched
+product.  The sampling functions keep ``kernel_spectra``, the windows' spectra
+times the betas' transforms, made when they are built.  These tests check the
+coefficients against a dense least-squares oracle on the generator translates,
+that a warm semidirect op and a warm ``coefficients_of`` make no solve, and that
+both arrays are cached and read-only.
 """
 
 import numpy as np

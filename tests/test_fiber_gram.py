@@ -2,7 +2,8 @@
 
 The Gram of the subgroup translates of N generators is a convolution on the
 sampling group H, so the transform over H splits it into one N x N fiber Gram
-per character of H.  ``coefficients_of`` solves those fibers and
+per character of H, T* T / index with T the model's alias matrices
+(``fibers``).  ``coefficients_of`` solves those fibers and
 ``reproducing_kernel`` tests |phi^|^2, the eigenvalues of the window frame
 operator.  These properties check both against dense oracles built here from
 explicit translate columns: the dense Gram (``riesz_sequence_check``), its
@@ -18,8 +19,8 @@ from hypothesis import strategies as st
 from groupsampling import (FrameConditionError, GroupSequence, GroupSpec, ProductSubgroup,
                            TransferMatrix, TranslationModel, VectorSequence, coefficients_of,
                            reproducing_kernel, riesz_sequence_check)
-from groupsampling.frames import RANK_RTOL
-from groupsampling.models import _fiber_gram, _rank_deficient
+from groupsampling.frames import RANK_RTOL, _spectrum
+from groupsampling.models import _rank_deficient
 
 # largest factor order for 1, 2 and 3 cyclic factors: |G| stays at most 64
 _MAX_FACTOR = (12, 8, 4)
@@ -88,7 +89,7 @@ def _relative(a, b):
 @given(models())
 def test_fiber_grams_are_the_dense_gram_per_character(drawn):
     model, _ = drawn
-    _, gram, eigs = _fiber_gram(model)
+    gram, eigs = (arr / model.subgroup.index for arr in _spectrum(model.fibers)[:2])
     oracle = _fiber_oracle(model)
     lo, hi = riesz_sequence_check(model)
     scale = max(hi, np.finfo(float).tiny)

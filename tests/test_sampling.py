@@ -131,7 +131,7 @@ class TestSamplingFunctions:
 
     def test_bounds_positive(self):
         proc = shannon_procedure(shannon_z4_model())
-        lo, hi = proc.sampling_functions.coefficient_frame_bounds
+        lo, hi = proc.dual.frame_bounds
         assert 0 < lo <= hi
 
 

@@ -266,7 +266,7 @@ def test_noise_amplified_at_most_by_the_dual_frame_bound(data):
         proc = make_procedure(model, probes=probes, left_inverse=kind, c=c)
     except FrameConditionError:
         assume(False)
-    _, hi = proc.sampling_functions.coefficient_frame_bounds
+    _, hi = proc.dual.frame_bounds
     x = VectorSequence(habs, _complex(rng, (2, habs.order)))
     noise = VectorSequence(habs, _complex(rng, (3, habs.order))) * 10.0 ** data.draw(
         st.floats(-6, 2))

@@ -2,9 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from groupsampling import GroupSpec, ProductSubgroup
+from groupsampling import (GroupSequence, GroupSpec, ProductSubgroup, TranslationModel,
+                           finite_index_model)
 from groupsampling.cli import bundled_scenario_paths, main
 
 
@@ -14,6 +16,25 @@ def test_refine_composes_and_validates_strides():
     for bad in [(4, 1), (3,), (3, 2, 1)]:
         with pytest.raises(ValueError):
             sub.refine(bad)
+
+
+def test_group_sizes_and_strides_must_be_integers():
+    """A float order or stride is refused, not truncated; numpy integers are read as ints."""
+    for moduli in ((4.7,), (4, 2.0), (np.float64(4.0),)):
+        with pytest.raises(TypeError):
+            GroupSpec(moduli)
+    g = GroupSpec((8,))
+    for strides in ((2.9,), (2.0,)):
+        with pytest.raises(TypeError):
+            ProductSubgroup(g, strides)
+    model = TranslationModel(g, GroupSequence.delta(g), ProductSubgroup(g, (2,)),
+                             (GroupSequence.delta(g),))
+    with pytest.raises(TypeError):
+        finite_index_model(model, (2.5,))
+    assert GroupSpec((np.int64(8), np.int32(2))).moduli == (8, 2)
+    sub = ProductSubgroup(GroupSpec((8, 2)), (np.int64(4), 1))
+    assert sub.strides == (4, 1) and all(type(d) is int for d in sub.strides)
+    assert finite_index_model(model, (np.int64(2),)).inner.strides == (2,)
 
 
 @pytest.mark.parametrize("block, key, strides", [

@@ -156,5 +156,5 @@ def test_one_window_model_payload_round_trips(label):
 @pytest.mark.parametrize("label", ["C2", "C4"])
 def test_window_stack_payload_is_refused(label):
     model, _ = _semidirect(label, side=4, stride=2, seed=30)
-    with pytest.raises(DimensionMismatchError, match="serialize the SemidirectModel"):
+    with pytest.raises(DimensionMismatchError, match="only one-window models serialize"):
         semidirect_reduce(model).model.to_json_dict()
