@@ -14,6 +14,9 @@ outputs and prints them, encoded bit for bit, as one JSON object:
   and finite entries only, so that the difference rows of every column and of
   column subsets of both shapes (fewer points than columns, and more) are
   compared;
+- ``convolve`` on Z5 at the point index -1 (``convolve_at_outside``).  Against a
+  tree from before such indices were refused, this output differs by design: there
+  -1 wraps to the last point and its value is returned;
 - ``exact_sums`` on blocks of the shapes the benchmark's workloads sum, and
   on blocks of those shapes that mix dense rows with the rows the one-level
   certificate leaves open (:func:`open_rows_block`): as they are, scaled
@@ -78,6 +81,13 @@ outputs and prints them, encoded bit for bit, as one JSON object:
   that payload; against a tree whose loaders build ``re + 1j * im`` it differs
   by design, because there every ``-0.0`` imaginary part, and each ``-0.0``
   real part whose imaginary part is not negative, comes back as ``+0.0``.
+  Then ``verify`` and ``roundtrip`` of two ``system`` scenarios whose procedure is
+  refused although the system passes the frame verdict: the 3 x 3 system on Z3 x Z4,
+  scale 560, whose column 1 repeats column 0 at the character (1, 2)
+  (:func:`singular_square_payload`), with a ``square`` and with a ``moore_penrose``
+  left inverse.  Against a tree from before ``verify`` reported such a refusal, the two
+  ``verify`` runs differ by design: there each ends in the uncaught
+  ``SingularCharacterError`` or ``FrameConditionError``.
   The usage line that argparse prints with ``roundtrip identity.json --seed
   -5`` lists the ``--left-inverse`` choices in the order of
   ``sampling.LEFT_INVERSE_KINDS`` (``moore_penrose,mp,family,square``); a
@@ -162,6 +172,25 @@ def open_rows_block(rng, rows: int, terms: int):
     return rng.permutation(block)
 
 
+def singular_square_payload(kind: str) -> dict:
+    """A ``system`` scenario whose system passes the default frame verdict, and whose
+    ``kind`` dual is refused: a 3 x 3 system on Z3 x Z4 at scale 560 whose column 1
+    repeats column 0 at the character (1, 2), sampled from a delta window."""
+    import numpy as np
+    import groupsampling as gs
+
+    g = gs.GroupSpec((3, 4))
+    rng = np.random.default_rng(1)
+    shape = (g.order, 3, 3)
+    mats = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * 560
+    mats[g.element((1, 2)).index, :, 1] = mats[g.element((1, 2)).index, :, 0]
+    system = gs.from_transfer(gs.TransferMatrix(g, mats))
+    gens = tuple(gs.GroupSequence(g, rng.standard_normal(g.order)) for _ in range(3))
+    model = gs.TranslationModel(g, gs.GroupSequence.delta(g), gs.ProductSubgroup(g, (1, 1)), gens)
+    return {"name": f"singular_{kind}", "model": model.to_json_dict(),
+            "system": system.to_json_dict(), "left_inverse": {"kind": kind}}
+
+
 def _kernel_outputs(out: dict) -> None:
     import numpy as np
     import groupsampling as gs
@@ -223,6 +252,10 @@ def _kernel_outputs(out: dict) -> None:
             float("inf"), float("nan"))
         for kind, block in (("open", terms), ("open_tiny", tiny), ("open_non_finite", non_finite)):
             out[f"exact_sums/{shape}/{kind}"] = _encode(lambda: exact_sums(block))
+
+    g = gs.GroupSpec((5,))
+    a, x = (gs.GroupSequence(g, draw(5, 0.0, 1.0)) for _ in range(2))
+    out["convolve_at_outside/(5,)/-1"] = _encode(lambda: gs.convolve(a, x, at=np.array([-1])))
 
 
 def _serializer_outputs(out: dict) -> None:
@@ -437,6 +470,11 @@ def _cli_outputs(out: dict, scenarios: Path) -> None:
             Path(f"{name}.json").write_text(text, encoding="utf-8")
             for command in ("analyze", "roundtrip"):
                 out[f"{command} {name}.json"] = run([command, f"{name}.json"])
+        for kind in ("square", "moore_penrose"):
+            Path(f"singular_{kind}.json").write_text(json.dumps(singular_square_payload(kind)),
+                                                     encoding="utf-8")
+            for command in ("verify", "roundtrip"):
+                out[f"{command} singular_{kind}.json"] = run([command, f"singular_{kind}.json"])
         Path("not_utf8.json").write_bytes(b"\xff\xfe")
         out["analyze not_utf8.json"] = run(["analyze", "not_utf8.json"])
         for seed in GENERATED_SEEDS:

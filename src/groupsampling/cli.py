@@ -226,7 +226,8 @@ def _foundation_checks(group: GroupSpec, rng: np.random.Generator, tol: float) -
 
 
 def _verify_checks(config: ScenarioConfig, rng: np.random.Generator,
-                   inject_fault: bool) -> list[dict]:
+                   inject_fault: bool) -> tuple[list[dict], str | None]:
+    """The scenario's checks, and the error of a frame whose procedure is refused, if any."""
     tol = config.tolerance("foundation")
     checks = _foundation_checks(config.model.ambient, rng, tol)
 
@@ -245,8 +246,18 @@ def _verify_checks(config: ScenarioConfig, rng: np.random.Generator,
         bound_dev = max(abs(lo - diag.alpha), abs(hi - diag.beta)) / scale
         checks.append(_check("oracle_bounds_match", bound_dev, 1e-8))
 
+    proc, error = None, None
     if diag.is_frame:
-        proc = build_procedure(config)
+        try:
+            proc = build_procedure(config)
+        except (FrameConditionError, SingularCharacterError) as exc:  # the dual is refused
+            error = str(exc)
+    else:
+        witness = kernel_witness(system)
+        sample_energy = apply(system, witness).norm()
+        checks.append(_check("necessity_witness_annihilated", sample_energy, 1e-6))
+        checks.append(_check("necessity_witness_norm", abs(witness.norm() - 1.0), 1e-9))
+    if proc is not None:
         dual = proc.dual
         if inject_fault:
             perturbed = dual.transfer.matrices.copy()
@@ -257,11 +268,6 @@ def _verify_checks(config: ScenarioConfig, rng: np.random.Generator,
         if proc.diag.is_riesz:
             checks.append(_check("interpolation_deviation", interpolation_check(proc),
                                  config.tolerance("interpolation")))
-    else:
-        witness = kernel_witness(system)
-        sample_energy = apply(system, witness).norm()
-        checks.append(_check("necessity_witness_annihilated", sample_energy, 1e-6))
-        checks.append(_check("necessity_witness_norm", abs(witness.norm() - 1.0), 1e-9))
 
     if config.kind == "semidirect":
         sd = config.source
@@ -278,22 +284,20 @@ def _verify_checks(config: ScenarioConfig, rng: np.random.Generator,
             worst_norm = max(worst_norm, abs(lhs.norm_sq() - norm_sq))
         checks.append(_check("composition_law", worst_comp, 0.0))
         checks.append(_check("quasi_regular_unitarity", worst_norm, 0.0))
-    return checks
+    return checks, error
 
 
 def cmd_verify(configs: list[ScenarioConfig], seed: int, inject_fault: bool) -> dict:
     scenarios = []
     all_ok = True
     for config in configs:
-        checks = _verify_checks(config, _rng(seed), inject_fault)
-        ok = all(c["pass"] for c in checks)
+        checks, error = _verify_checks(config, _rng(seed), inject_fault)
+        ok = error is None and all(c["pass"] for c in checks)
         all_ok = all_ok and ok
-        scenarios.append({
-            "scenario": config.name,
-            "scenario_kind": config.kind,
-            "checks": checks,
-            "pass": ok,
-        })
+        entry = {"scenario": config.name, "scenario_kind": config.kind, "checks": checks}
+        if error is not None:
+            entry["error"] = error
+        scenarios.append({**entry, "pass": ok})
     return {
         "command": "verify",
         "rng": {"generator": "pcg64", "seed": seed},

@@ -216,8 +216,8 @@ def kernel_witness(a: SequenceMatrix) -> VectorSequence:
     """Unit-norm coefficients annihilated (up to round-off) by a degenerate system.
 
     Concentrates the null eigenvector of the spectral Gram at the character
-    where its determinant is smallest; when delta is zero the resulting
-    samples vanish, witnessing that recovery cannot succeed.
+    where its smallest eigenvalue is smallest; when that eigenvalue is zero the
+    resulting samples vanish, witnessing that recovery cannot succeed.
     """
     gram, eigs, _ = _spectrum(transfer(a))
     k0 = int(np.argmin(eigs[:, 0]))

@@ -272,6 +272,16 @@ class GroupSpec:
     def element_at(self, index: int) -> GroupElement:
         return GroupElement(self, tuple(self.coords_array[index]))
 
+    def index_of(self, point: GroupElement | int) -> int:
+        """The index of a point: an element of this group, or an index in 0..order-1."""
+        if isinstance(point, GroupElement):
+            _same_group(self, point.group, "point on a different group")
+            return point.index
+        if isinstance(point, (int, np.integer)) and 0 <= point < self.order:
+            return int(point)
+        raise IndexError(f"point {point} is neither an element of the group {self.moduli} "
+                         f"nor an index in 0..{self.order - 1}")
+
     def elements(self) -> Iterator[GroupElement]:
         for row in self.coords_array:
             yield GroupElement(self, tuple(row))
@@ -312,9 +322,9 @@ class GroupSpec:
                 np.copyto(grid, part)
         return out
 
-    def translation_perm(self, t: int) -> np.ndarray:
+    def translation_perm(self, t: GroupElement | int) -> np.ndarray:
         """Indices of g - t for every g; gathering with it implements T_t."""
-        return self.ravel(self.coords_array - self.coords_array[t])
+        return self.ravel(self.coords_array - self.coords_array[self.index_of(t)])
 
     def _over_factors(self, transform, values: np.ndarray) -> np.ndarray:
         # row-major enumeration: the last axis reshapes to one axis per factor
@@ -435,16 +445,16 @@ class _Sequence(GroupArray):
 
     def shift(self, t: GroupElement | int):
         """Translate: (T_t x)(g) = x(g - t)."""
-        if isinstance(t, GroupElement):
-            _same_group(self.group, t.group, "shift on a different group")
-        idx = int(t) if isinstance(t, (int, np.integer)) else t.index
-        return type(self)(self.group, self.values[..., self.group.translation_perm(idx)])
+        return type(self)(self.group, self.values[..., self.group.translation_perm(t)])
 
     def norm_sq(self) -> float:
         return exact_norm_sq(self.values.ravel())
 
     def norm(self) -> float:
         return math.sqrt(self.norm_sq())
+
+    def max_abs(self) -> float:
+        return float(np.abs(self.values).max())
 
     def inner(self, other) -> complex:
         _same_space(self, other, "inner product across spaces")
@@ -485,14 +495,13 @@ class GroupSequence(_Sequence):
         return cls(group, np.zeros(group.order))
 
     @classmethod
-    def delta(cls, group: GroupSpec, at: GroupElement | None = None) -> GroupSequence:
+    def delta(cls, group: GroupSpec, at: GroupElement | int = 0) -> GroupSequence:
         values = np.zeros(group.order, dtype=np.complex128)
-        values[(at or group.identity()).index] = 1.0
+        values[group.index_of(at)] = 1.0
         return cls(group, values)
 
-    def at(self, h: GroupElement) -> complex:
-        _same_group(self.group, h.group, "evaluation point on a different group")
-        return complex(self.values[h.index])
+    def at(self, h: GroupElement | int) -> complex:
+        return complex(self.values[self.group.index_of(h)])
 
     def to_json_dict(self) -> dict:
         return {
@@ -533,13 +542,17 @@ def convolve(a, x, *, at: np.ndarray | None = None):
 
     Takes two sequences, or two stacks of equal shape (VectorSequence), whose
     row k is bitwise the convolution of row k of a with row k of x.  With
-    ``at``, an array of point indices, returns only the values at those
-    points, as an array; otherwise the whole convolution, with a's type.
+    ``at``, an array of point indices in 0..order-1, returns only the values at
+    those points, as an array; otherwise the whole convolution, with a's type.
     """
     _same_group(a.group, x.group, "cannot convolve sequences on different groups")
     av, xv = a.values, x.values
     if av.shape != xv.shape:
         raise DimensionMismatchError(f"cannot convolve shapes {av.shape} and {xv.shape}")
+    if at is not None:
+        at = np.asarray(at)
+        for point in at[(at < 0) | (at >= a.group.order)][:1]:
+            a.group.index_of(point)  # raises index_of's IndexError for the first one outside
     out = _exact_convolve(*(v.reshape(-1, 1, a.group.order) for v in (av, xv)), a.group, at)
     out = out.reshape(*av.shape[:-1], -1)
     return out if at is not None else type(a)(a.group, out)

@@ -28,8 +28,8 @@ from .errors import (CapExceededError, DimensionMismatchError, FrameConditionErr
                      GroupMismatchError)
 from .duals import _pseudo_inverse
 from .frames import DEFAULT_ORACLE_CAP, RANK_RTOL, _spectrum
-from .groups import (GroupArray, GroupElement, GroupSequence, GroupSpec, ProductSubgroup,
-                     _same_group, _same_space, convolve, involution)
+from .groups import (GroupElement, GroupSequence, GroupSpec, ProductSubgroup, _same_group,
+                     convolve, involution)
 from .systems import SequenceMatrix, TransferMatrix, VectorSequence
 
 _ROTATION_SETS = {
@@ -39,37 +39,9 @@ _ROTATION_SETS = {
 }
 
 
-class FunctionOnG(GroupArray):
-    """A function table on a finite group, with one sector per analysis window.
-
-    A one-window model produces a single-sector table indexed by the group; the
-    reduction of a semidirect model has one window per rotation, so its domain
-    is group x rotations.
-    """
-
-    __slots__ = ()  # values: the stack rule, GroupArray._shaped
-
-    @property
-    def sectors(self) -> int:
-        return self.values.shape[0]
-
-    def at(self, point: GroupElement, sector: int = 0) -> complex:
-        _same_group(self.group, point.group, "evaluation point on a different group")
-        if not 0 <= sector < self.sectors:
-            raise ValueError(f"sector {sector} outside the {self.sectors} sectors")
-        return complex(self.values[sector, point.index])
-
-    def flat(self) -> np.ndarray:
-        if self.sectors != 1:
-            raise ValueError("function has rotation sectors; pick one explicitly")
-        return self.values[0]
-
-    def __sub__(self, other: FunctionOnG) -> FunctionOnG:
-        _same_space(self, other, "functions live on different domains")
-        return FunctionOnG(self.group, self.values - other.values)
-
-    def max_abs(self) -> float:
-        return float(np.abs(self.values).max())
+# a function table on the group, one sector per analysis window: a one-window model's
+# table has one sector, a semidirect reduction's one per rotation (domain group x rotations)
+FunctionOnG = VectorSequence
 
 
 @dataclass(frozen=True, eq=False)
@@ -390,8 +362,7 @@ def quasi_regular_apply(model: SemidirectModel, shift, gamma,
     _same_group(f.group, model.torus, "sequence is not on the torus")
     if not isinstance(shift, GroupElement):
         shift = model.torus.element(tuple(shift))
-    _same_group(shift.group, model.torus, "shift is not a torus element")
-    src = model.rotation_perms[idx][model.torus.translation_perm(shift.index)]
+    src = model.rotation_perms[idx][model.torus.translation_perm(shift)]
     return GroupSequence(model.torus, f.values[src])
 
 

@@ -20,11 +20,12 @@ import numpy as np
 from .errors import (DimensionMismatchError, GroupMismatchError, SchemaError, _complex_values,
                      _int_list, _require_keys, json_integer)
 from .groups import (GroupArray, GroupElement, GroupSequence, GroupSpec, _exact_convolve,
-                     _same_group, _same_space, _Sequence)
+                     _same_space, _Sequence)
 
 
 class VectorSequence(_Sequence):
-    """An element of the N-fold product of sequence spaces over one group."""
+    """An element of the N-fold product of sequence spaces over one group: coefficients, a
+    sample set (``SampleSet``) or an analysis table (``FunctionOnG``), one sector per window."""
 
     __slots__ = ()  # values: the stack rule, GroupArray._shaped
 
@@ -46,6 +47,19 @@ class VectorSequence(_Sequence):
 
     def component(self, n: int) -> GroupSequence:
         return GroupSequence(self.group, self.values[n])
+
+    def at(self, point: GroupElement | int, sector: int = 0) -> complex:
+        """The value of one component (a sector of a function table) at a point."""
+        idx = self.group.index_of(point)
+        if not 0 <= sector < self.n_components:
+            raise ValueError(f"sector {sector} outside the {self.n_components} sectors")
+        return complex(self.values[sector, idx])
+
+    def flat(self) -> np.ndarray:
+        """The values of a single component: a one-window function table."""
+        if self.n_components != 1:
+            raise ValueError(f"values have {self.n_components} sectors; pick one explicitly")
+        return self.values[0]
 
     def to_json_dict(self) -> dict:
         return {
@@ -95,10 +109,7 @@ class TransferMatrix(GroupArray):
         return self.matrices.shape[2]
 
     def at(self, xi: GroupElement | int) -> np.ndarray:
-        if isinstance(xi, GroupElement):
-            _same_group(self.group, xi.group, "character on a different group")
-        idx = int(xi) if isinstance(xi, (int, np.integer)) else xi.index
-        return self.matrices[idx]
+        return self.matrices[self.group.index_of(xi)]
 
     def conj_transpose(self) -> TransferMatrix:
         return TransferMatrix(self.group, np.conj(self.matrices.transpose(0, 2, 1)))

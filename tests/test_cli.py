@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from groupsampling.cli import bundled_scenario_paths, main
+from groupsampling.cli import bundled_scenario_paths, load_config, main
 
 
 @pytest.fixture()
@@ -55,6 +55,16 @@ class TestAnalyze:
     def test_missing_file_exits_two(self, capsys):
         code, _ = run_cli(["analyze", "/nonexistent/config.json"], capsys)
         assert code == 2
+
+    def test_null_frame_tolerance_is_the_scale_aware_default(self, tmp_path, scenario_path,
+                                                            capsys):
+        payload = json.loads(open(scenario_path["identity"]).read())
+        path = tmp_path / "identity.json"
+        path.write_text(json.dumps({**payload, "tolerances": {"frame": None}}))
+        assert load_config(str(path)).tolerance("frame") is None
+        code, out = run_cli(["analyze", str(path)], capsys)
+        assert (code, out) == run_cli(["analyze", scenario_path["identity"]], capsys)
+        assert json.loads(out)["diagnostics"]["tol"] == 1e-10
 
 
 class TestRoundtrip:
@@ -132,6 +142,30 @@ class TestVerify:
         assert code == 1
         checks = {c["name"]: c for c in json.loads(out)["scenarios"][0]["checks"]}
         assert not checks["left_inverse_residual"]["pass"]
+
+    @pytest.mark.parametrize("kind, error", [
+        ("square", "transfer matrix is singular at character (1, 2) (|det|=1.611e-07, "
+                   "threshold 2.421e-02)"),
+        ("moore_penrose", "left inverse residual 5.000e-01 exceeds 1e-09"),
+    ], ids=["square", "moore_penrose"])
+    def test_a_frame_whose_procedure_is_refused_fails_with_its_error(
+            self, singular_square_system, tmp_path, capsys, kind, error):
+        """The system passes the frame verdict, so verify builds its procedure, which the
+        dual refuses: the scenario names the error and fails, as roundtrip reports it."""
+        model, system, _ = singular_square_system
+        path = tmp_path / "singular.json"
+        path.write_text(json.dumps({"name": "singular", "model": model.to_json_dict(),
+                                    "system": system.to_json_dict(),
+                                    "left_inverse": {"kind": kind}}))
+        code, out = run_cli(["verify", str(path)], capsys)
+        assert code == 1
+        (entry,) = json.loads(out)["scenarios"]
+        assert list(entry) == ["scenario", "scenario_kind", "checks", "error", "pass"]
+        assert entry["error"] == error and entry["pass"] is False
+        assert all(c["pass"] for c in entry["checks"])
+        code, out = run_cli(["roundtrip", str(path)], capsys)
+        assert code == 1 and json.loads(out)["error"] == error
+        assert run_cli(["analyze", str(path)], capsys)[0] == 0
 
     def test_empty_scenario_list_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -70,5 +70,5 @@ def test_semidirect_quarter_turns_match_direct_analysis():
     f = synthesize(red.model, VectorSequence(red.model.subgroup.abstract_group, coeffs.T))
     out = semidirect_sample_and_reconstruct(model, proc, f)
     direct = semidirect_analysis(model, f)
-    assert out.sectors == 4
+    assert out.n_components == 4
     assert (out - direct).max_abs() < 1e-8 * max(1.0, direct.max_abs())

@@ -1,18 +1,21 @@
 """The one container of values on a group, and the algebra its sequences share.
 
-``GroupSequence``, ``VectorSequence``, ``FunctionOnG``, ``SequenceMatrix`` and
-``TransferMatrix`` keep their values through ``groups.GroupArray``: a
-C-ordered complex128 copy, read-only, with every cache slot ``None`` at
-first.  A transposed input is F-ordered, and an order-keeping copy of it
-would stay so, which moves FFT round-off downstream; only the C-order check
-here sees that, as every value still compares equal.
+``GroupSequence``, ``VectorSequence``, ``SequenceMatrix`` and ``TransferMatrix``
+keep their values through ``groups.GroupArray``: a C-ordered complex128 copy,
+read-only, with every cache slot ``None`` at first.  A transposed input is
+F-ordered, and an order-keeping copy of it would stay so, which moves FFT
+round-off downstream; only the C-order check here sees that, as every value
+still compares equal.  An analysis table (``FunctionOnG``) and a sample set
+(``SampleSet``) are ``VectorSequence``s, so they share its storage rule, its
+algebra and its point rule, ``GroupSpec.index_of``; the ``FunctionOnG`` cases
+keep their names.
 """
 
 import numpy as np
 import pytest
 
 from groupsampling import (FunctionOnG, GroupMismatchError, GroupSequence, GroupSpec,
-                           SequenceMatrix, TransferMatrix, VectorSequence)
+                           SampleSet, SequenceMatrix, TransferMatrix, VectorSequence)
 from groupsampling.groups import GroupArray
 
 G = GroupSpec((4, 3))
@@ -33,7 +36,8 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("cls, make, caches", CASES, ids=[c[0].__name__ for c in CASES])
+@pytest.mark.parametrize("cls, make, caches", CASES, ids=[
+    "GroupSequence", "VectorSequence", "FunctionOnG", "SequenceMatrix", "TransferMatrix"])
 def test_values_are_a_read_only_c_ordered_copy(cls, make, caches):
     source = make()
     assert source.flags.f_contiguous and not source.flags.c_contiguous
@@ -56,7 +60,8 @@ def test_transfer_matrices_are_its_values():
     assert t.matrices is t.values and (t.rows, t.cols) == (2, 3)
 
 
-@pytest.mark.parametrize("cls", [FunctionOnG, VectorSequence])
+@pytest.mark.parametrize("cls", [FunctionOnG, VectorSequence],
+                         ids=["FunctionOnG", "VectorSequence"])
 def test_a_stack_needs_a_row(cls):
     with pytest.raises(ValueError):
         cls(G, np.zeros((0, G.order)))
@@ -65,7 +70,7 @@ def test_a_stack_needs_a_row(cls):
 def test_vector_sequence_is_not_a_group_sequence():
     x = VectorSequence(G, _draw(2, G.order))
     assert not isinstance(x, GroupSequence)
-    assert not hasattr(x, "at") and not hasattr(VectorSequence, "delta")
+    assert not hasattr(VectorSequence, "delta")
 
 
 @pytest.mark.parametrize("a, b", [
@@ -90,3 +95,17 @@ def test_shift_and_scaling_keep_the_type():
         shifted = x.shift(t)
         assert type(shifted) is type(x) and type(2 * x) is type(x) and type(x * 2) is type(x)
         assert np.array_equal(shifted.values, x.values[..., G.translation_perm(t.index)])
+
+
+def test_tables_and_sample_sets_are_vector_sequences():
+    """One storage rule and one algebra for an analysis table, a sample set and coefficients."""
+    assert FunctionOnG is VectorSequence and SampleSet is VectorSequence
+    values = _draw(2, G.order)
+    table, point = FunctionOnG(G, values), G.element((1, 2))
+    assert table.at(point, 1) == table.at(point.index, 1) == values[1, point.index]
+    assert table.at(point) == values[0, point.index]
+    with pytest.raises(ValueError, match="2 sectors"):
+        table.flat()
+    assert np.array_equal(FunctionOnG(G, values[1]).flat(), values[1])
+    assert table.max_abs() == np.abs(values).max()
+    assert GroupSequence(G, values[1]).max_abs() == np.abs(values[1]).max()

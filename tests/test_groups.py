@@ -107,6 +107,42 @@ class TestElements:
         assert FunctionOnG(g, np.arange(16.0)).at(own) == 5.0
         assert TransferMatrix(g, np.arange(16.0).reshape(16, 1, 1)).at(own)[0, 0] == 5.0
 
+    def test_index_of_takes_an_element_or_an_index_in_range(self):
+        g = GroupSpec((4, 4))
+        assert g.index_of(g.element((1, 1))) == g.index_of(5) == 5
+        assert g.index_of(np.int64(15)) == 15 and type(g.index_of(np.int64(15))) is int
+        with pytest.raises(GroupMismatchError):
+            g.index_of(GroupSpec((16,)).element((5,)))
+        for point in (-1, 16, 5.0, (1, 1), None):
+            with pytest.raises(IndexError, match=r"nor an index in 0\.\.15"):
+                g.index_of(point)
+
+    def test_a_delta_at_a_point_of_another_group_is_refused(self):
+        """Z16's element 5 used to put the 1 at (1, 1) of Z4 x Z4, whose index it has."""
+        g = GroupSpec((4, 4))
+        with pytest.raises(GroupMismatchError):
+            GroupSequence.delta(g, at=GroupSpec((16,)).element((5,)))
+        at_point = GroupSequence.delta(g, at=g.element((1, 1)))
+        assert np.array_equal(at_point.values, np.eye(16)[5])
+        assert np.array_equal(GroupSequence.delta(g, at=5).values, at_point.values)
+        assert np.array_equal(GroupSequence.delta(g).values, np.eye(16)[0])
+
+    def test_integer_points_outside_the_group_are_refused(self):
+        """On Z4 x Z4, -1 used to wrap to the point (3, 3), and 16 leaked numpy's error."""
+        g = GroupSpec((4, 4))
+        x = GroupSequence(g, np.arange(16.0))
+        stack = VectorSequence(g, np.stack([np.ones(16), np.arange(16.0)]))
+        transfer = TransferMatrix(g, np.arange(16.0).reshape(16, 1, 1))
+        calls = (x.shift, stack.shift, x.at, stack.at, transfer.at,
+                 lambda point: GroupSequence.delta(g, at=point))
+        for call in calls:
+            for point in (-1, 16, -17):
+                with pytest.raises(IndexError, match=f"point {point} is neither"):
+                    call(point)
+        assert x.at(g.element((3, 3))) == x.at(15) == 15.0
+        assert transfer.at(15)[0, 0] == stack.at(15, 1) == 15.0
+        assert np.array_equal(x.shift(15).values, x.shift(g.element((3, 3))).values)
+
     @given(small_moduli, st.data())
     def test_group_axioms(self, moduli, data):
         g = GroupSpec(tuple(moduli))
@@ -239,6 +275,23 @@ class TestConvolution:
         with pytest.raises(GroupMismatchError):
             convolve(GroupSequence(GroupSpec((2,)), [1, 0]),
                      GroupSequence(GroupSpec((3,)), [1, 0, 0]))
+
+    def test_points_asked_for_must_be_indices_of_the_group(self):
+        """On Z5, at=[-1] used to return the value at the last point, and at=[7] leaked
+        numpy's IndexError; both raise the IndexError of ``GroupSpec.index_of``."""
+        g = GroupSpec((5,))
+        rng = np.random.default_rng(5)
+        a, x = (GroupSequence(g, rng.standard_normal(5) + 1j * rng.standard_normal(5))
+                for _ in range(2))
+        for at, first_outside in ((np.array([-1]), -1), ([7], 7), (np.array([0, 4, 5, -2]), 5)):
+            with pytest.raises(IndexError) as err:
+                convolve(a, x, at=at)
+            with pytest.raises(IndexError) as want:
+                g.index_of(first_outside)
+            assert str(err.value) == str(want.value)
+        full = convolve(a, x).values
+        assert np.array_equal(convolve(a, x, at=[4, 0]), full[[4, 0]])
+        assert convolve(a, x, at=np.array([], dtype=np.int64)).shape == (0,)
 
 
 class TestInvolution:

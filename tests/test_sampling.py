@@ -400,7 +400,7 @@ class TestSemidirectPipeline:
         x = VectorSequence(red.model.subgroup.abstract_group, coeffs.T)
         f = synthesize(red.model, x)
         out = semidirect_sample_and_reconstruct(model, proc, f)
-        assert out.sectors == 1
+        assert out.n_components == 1
         abelian = reconstruct_function(proc, take_samples(proc, x))
         assert np.abs(out.values[0] - abelian.flat()).max() < 1e-9
 

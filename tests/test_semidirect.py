@@ -206,7 +206,7 @@ class TestAnalysis:
         f = GroupSequence(model.torus, rng.standard_normal(16)
                           + 1j * rng.standard_normal(16))
         table = semidirect_analysis(model, f)
-        assert table.sectors == 4
+        assert table.n_components == 4
         for i in range(4):
             for s in [0, 3, 7, 12]:
                 point = model.torus.element_at(s)

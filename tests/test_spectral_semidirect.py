@@ -87,7 +87,7 @@ def test_op_matches_the_exact_composition(setup):
     f = GroupSequence(model.torus, _complex(rng, model.torus.order))
     want = _parent_composition(model, proc, f)
     got = semidirect_sample_and_reconstruct(model, proc, f)
-    assert got.sectors == model.n_rotations
+    assert got.n_components == model.n_rotations
     assert _relative(got.values, want) <= 1e-12
 
 

@@ -18,11 +18,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from groupsampling import (FrameConditionError, GroupSequence, GroupSpec, ProductSubgroup,
-                           SingularCharacterError, TransferMatrix, TranslationModel,
-                           VectorSequence, diagnostics, from_transfer, idft,
-                           left_inverse_family, make_procedure, moore_penrose,
-                           reconstruct_coefficients, sample_matrix, shannon_procedure,
-                           square_inverse, take_samples, transfer)
+                           SamplingProcedure, SingularCharacterError, TransferMatrix,
+                           TranslationModel, VectorSequence, diagnostics, from_transfer, idft,
+                           interpolation_check, left_inverse_family, make_procedure,
+                           moore_penrose, reconstruct_coefficients, sample_matrix,
+                           shannon_procedure, square_inverse, take_samples, transfer)
 from groupsampling.frames import require_frame
 
 
@@ -169,6 +169,29 @@ def test_large_singular_square_system_is_rejected_by_default(scale):
         make_procedure(model, system=system, left_inverse="square")
     if d.is_frame:
         assert err.type is SingularCharacterError and err.value.characters == [xi]
+
+
+def test_a_dual_that_misses_the_identity_is_refused(singular_square_system):
+    """The Moore-Penrose dual of a frame that is singular at one character is no left
+    inverse there; the procedure is refused with the frame's delta, tol and character."""
+    model, system, xi = singular_square_system
+    d = diagnostics(system)
+    assert d.is_frame and not d.is_riesz
+    with pytest.raises(FrameConditionError,
+                       match=r"^left inverse residual 5\.000e-01 exceeds 1e-09$") as err:
+        make_procedure(model, system=system, left_inverse="moore_penrose")
+    assert (err.value.delta, err.value.tol, err.value.xi) == (d.delta, d.tol, d.worst_xi)
+    assert d.worst_xi == xi
+
+
+def test_interpolation_needs_a_riesz_system(singular_square_system):
+    """A square procedure whose system passes the frame verdict but not the Riesz one."""
+    model, system, xi = singular_square_system
+    proc = SamplingProcedure(model=model, system=system, diag=diagnostics(system),
+                             dual=moore_penrose(system))
+    with pytest.raises(FrameConditionError, match="needs a Riesz system") as err:
+        interpolation_check(proc)
+    assert err.value.xi == xi
 
 
 @given(st.data())

@@ -12,8 +12,9 @@ import json
 import numpy as np
 import pytest
 
-from groupsampling import (DimensionMismatchError, FunctionOnG, GroupSequence, GroupSpec,
-                           ProductSubgroup, SemidirectModel, TranslationModel, VectorSequence,
+from groupsampling import (DimensionMismatchError, FunctionOnG, GroupMismatchError,
+                           GroupSequence, GroupSpec, ProductSubgroup, SemidirectModel,
+                           TranslationModel, VectorSequence,
                            analysis_transform, compose_group_law, make_procedure,
                            quasi_regular_apply, reconstruct_function, reproducing_kernel,
                            semidirect_analysis, semidirect_reduce,
@@ -48,7 +49,7 @@ def test_reconstruct_function_returns_every_rotation_sector(label):
     out = reconstruct_function(proc, take_samples(proc, x))
     direct = semidirect_analysis(model, f)
     op = semidirect_sample_and_reconstruct(model, proc, f)
-    assert out.sectors == model.n_rotations
+    assert out.n_components == model.n_rotations
     scale = max(1.0, direct.max_abs())
     assert (out - direct).max_abs() <= 1e-8 * scale
     assert (out - op).max_abs() <= 1e-8 * scale
@@ -135,6 +136,16 @@ def test_float_shifts_are_refused():
         compose_group_law(model, ((0.5, 0), 1), ((1, 0), 0))
     shifted = quasi_regular_apply(model, (np.int64(1), 0), 0, f)
     assert np.array_equal(shifted.values, f.shift(model.torus.element((1, 0))).values)
+
+
+def test_shifts_of_another_group_are_refused():
+    """Z16's element 5 is not a point of the torus Z4 x Z4, though it has an index there."""
+    model, rng = _semidirect("C4", side=4, stride=2, seed=30)
+    f = GroupSequence(model.torus, _complex(rng, 16))
+    with pytest.raises(GroupMismatchError):
+        quasi_regular_apply(model, GroupSpec((16,)).element((5,)), 1, f)
+    own = quasi_regular_apply(model, model.torus.element((1, 1)), 1, f)
+    assert np.array_equal(own.values, quasi_regular_apply(model, (5, -3), 1, f).values)
 
 
 @pytest.mark.parametrize("label", ["C1", "C2"])
