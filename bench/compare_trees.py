@@ -39,6 +39,19 @@ outputs and prints them, encoded bit for bit, as one JSON object:
 - ``coefficients_of`` on a near-collinear translation model: Z16 x Z16, strides
   (2, 2), seeded generators g and g + 1e-4 h, whose fiber eigenvalues span about
   ten decades, of a member of the subspace and of a dense signal;
+- the stability refusals, each as its exception's type, message and ``xi``
+  (:func:`_refusal`): ``require_frame`` of the system of :func:`singular_square`
+  at scale 1 (``frame``), ``square_inverse`` of it at scale 560
+  (``square_singular``), ``make_procedure`` with a family dual whose
+  parameter is 1e9 at one character of Z8 only (``left_inverse_residual``),
+  ``interpolation_check`` of a square system on Z6 that is singular first at
+  another character than the one where ``delta`` is (``interpolation``),
+  ``coefficients_of`` on two generators whose alias matrix has rank 1 at one
+  character of H (``fiber_riesz``), and ``reproducing_kernel`` of a window on Z8
+  whose |phi^|^2 is 1e-14 at one character and 1 elsewhere (``window``).  Against
+  a tree from before every refusal named its cause, three of these differ in
+  ``xi`` only: there the residual and interpolation refusals name the character
+  where ``delta`` is, and a ``SingularCharacterError`` carries no ``xi``;
 - stdout, stderr and exit code of ``verify --all`` at seeds 0 to 9, of
   ``verify --all --seed 3 --inject-fault``, of ``analyze`` and ``roundtrip``
   on every bundled scenario (``roundtrip`` also with ``--left-inverse family``,
@@ -172,21 +185,28 @@ def open_rows_block(rng, rows: int, terms: int):
     return rng.permutation(block)
 
 
-def singular_square_payload(kind: str) -> dict:
-    """A ``system`` scenario whose system passes the default frame verdict, and whose
-    ``kind`` dual is refused: a 3 x 3 system on Z3 x Z4 at scale 560 whose column 1
-    repeats column 0 at the character (1, 2), sampled from a delta window."""
+def singular_square(scale: float = 560.0):
+    """(model, system): a 3 x 3 system on Z3 x Z4 whose column 1 repeats column 0 at the
+    character (1, 2), sampled from a delta window.  At scale 560 it passes the default
+    frame verdict, at scale 1 it does not."""
     import numpy as np
     import groupsampling as gs
 
     g = gs.GroupSpec((3, 4))
     rng = np.random.default_rng(1)
     shape = (g.order, 3, 3)
-    mats = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * 560
+    mats = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale
     mats[g.element((1, 2)).index, :, 1] = mats[g.element((1, 2)).index, :, 0]
     system = gs.from_transfer(gs.TransferMatrix(g, mats))
     gens = tuple(gs.GroupSequence(g, rng.standard_normal(g.order)) for _ in range(3))
     model = gs.TranslationModel(g, gs.GroupSequence.delta(g), gs.ProductSubgroup(g, (1, 1)), gens)
+    return model, system
+
+
+def singular_square_payload(kind: str) -> dict:
+    """A ``system`` scenario whose system passes the default frame verdict, and whose
+    ``kind`` dual is refused: :func:`singular_square` at scale 560."""
+    model, system = singular_square()
     return {"name": f"singular_{kind}", "model": model.to_json_dict(),
             "system": system.to_json_dict(), "left_inverse": {"kind": kind}}
 
@@ -331,6 +351,64 @@ def _coefficient_outputs(out: dict) -> None:
     for kind, f in (("member", member), ("dense", gs.GroupSequence(g, draw(g.order)))):
         out[f"coefficients_of/near_collinear/{kind}"] = _encode(
             lambda: gs.coefficients_of(model, f).values)
+
+
+def _refusal(call) -> str:
+    """The type, message and ``xi`` of the exception a call raises."""
+    try:
+        call()
+    except Exception as exc:  # the refusal is the output being compared
+        return f"raises {type(exc).__name__}: {exc} (xi={getattr(exc, 'xi', None)})"
+    return "no refusal"
+
+
+def _refusal_outputs(out: dict) -> None:
+    import numpy as np
+    import groupsampling as gs
+    from groupsampling.frames import require_frame
+
+    rng = np.random.default_rng(4)
+
+    def draw(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def delta_model(g, generators, phi=None, strides=(1,)):
+        return gs.TranslationModel(g, gs.GroupSequence.delta(g) if phi is None else phi,
+                                   gs.ProductSubgroup(g, strides), tuple(generators))
+
+    out["refusal/frame"] = _refusal(lambda: require_frame(singular_square(1.0)[1]))
+    out["refusal/square_singular"] = _refusal(lambda: gs.square_inverse(singular_square()[1]))
+
+    z8 = gs.GroupSpec((8,))
+    system = gs.SequenceMatrix(z8, draw(3, 2, 8))
+    c = np.zeros((8, 2, 3), dtype=np.complex128)
+    c[5] = 1e9 * rng.standard_normal((2, 3))
+    model = delta_model(z8, [gs.GroupSequence(z8, rng.standard_normal(8)) for _ in range(2)])
+    out["refusal/left_inverse_residual"] = _refusal(lambda: gs.make_procedure(
+        model, system=system, left_inverse="family", c=gs.TransferMatrix(z8, c)))
+
+    z6 = gs.GroupSpec((6,))
+    mats = draw(6, 2, 2)
+    mats[1, :, 1] = mats[1, :, 0] + 1e-7 * draw(2)  # singular first at (1,), delta at (4,)
+    mats[4, :, 1] = mats[4, :, 0]
+    square = gs.from_transfer(gs.TransferMatrix(z6, mats))
+    proc = gs.SamplingProcedure(
+        model=delta_model(z6, [gs.GroupSequence.delta(z6, z6.element_at(k)) for k in range(2)]),
+        system=square, diag=gs.diagnostics(square),
+        dual=gs.LeftInverse(gs.TransferMatrix(z6, np.zeros_like(mats)), "moore_penrose"))
+    out["refusal/interpolation"] = _refusal(lambda: gs.interpolation_check(proc))
+
+    spectra = draw(2, 8)
+    aliases = gs.ProductSubgroup(z8, (2,)).alias_indices[1]
+    spectra[1, aliases] = spectra[0, aliases]  # rank 1 at the character (1,) of H
+    fiber = delta_model(z8, [gs.idft(gs.GroupSequence(z8, s)) for s in spectra], strides=(2,))
+    out["refusal/fiber_riesz"] = _refusal(
+        lambda: gs.coefficients_of(fiber, gs.GroupSequence.delta(z8)))
+
+    window = np.ones(8, dtype=np.complex128)
+    window[3] = 1e-7  # |phi^|^2 = 1e-14 at (3,)
+    out["refusal/window"] = _refusal(lambda: gs.reproducing_kernel(
+        delta_model(z8, [gs.GroupSequence.delta(z8)], gs.idft(gs.GroupSequence(z8, window)))))
 
 
 def _decoded(output):
@@ -495,6 +573,7 @@ def emit(src: Path) -> None:
     _serializer_outputs(out)
     _semidirect_outputs(out)
     _coefficient_outputs(out)
+    _refusal_outputs(out)
     _cli_outputs(out, src / "groupsampling" / "scenarios")
     sys.stdout.write(json.dumps(out))
 

@@ -24,8 +24,7 @@ import numpy as np
 from .config import (LeftInverseChoice, ScenarioConfig, parse_config, parse_seed,
                      parse_tolerance)
 from .duals import LeftInverse, verify_left_inverse
-from .errors import (DimensionMismatchError, FrameConditionError, SchemaError,
-                     SingularCharacterError)
+from .errors import DimensionMismatchError, FrameConditionError, SchemaError
 from .frames import (DEFAULT_ORACLE_CAP, check_determinant_sandwich, diagnostics,
                      kernel_witness, oracle_frame_bounds)
 from .groups import (GroupSequence, GroupSpec, convolve, dft, exact_norm_sq, idft,
@@ -187,7 +186,7 @@ def cmd_roundtrip(config: ScenarioConfig, seed: int | None, tol: float | None,
     }
     try:
         proc = build_procedure(config, left_kind, tol)
-    except (FrameConditionError, SingularCharacterError) as exc:
+    except FrameConditionError as exc:
         report["error"] = str(exc)
         report["exit_code"] = EXIT_FAIL
         return report
@@ -250,7 +249,7 @@ def _verify_checks(config: ScenarioConfig, rng: np.random.Generator,
     if diag.is_frame:
         try:
             proc = build_procedure(config)
-        except (FrameConditionError, SingularCharacterError) as exc:  # the dual is refused
+        except FrameConditionError as exc:  # the dual is refused
             error = str(exc)
     else:
         witness = kernel_witness(system)

@@ -184,6 +184,9 @@ def parse_config(data: dict) -> ScenarioConfig:
         scale = _finite(block.get("scale", 1.0), "config.left_inverse.scale", "a finite number")
         transfer = block.get("transfer")
         if transfer is not None:
+            if left_kind != "family" or {"seed", "scale"} & set(block):
+                raise SchemaError(f"config.left_inverse.transfer: only kind 'family' without "
+                                  f"'seed' or 'scale' takes a transfer, got {sorted(block)}")
             transfer = TransferMatrix.from_json_dict(transfer, "config.left_inverse.transfer")
         left = LeftInverseChoice(kind=left_kind, seed=seed, scale=scale,
                                  transfer=transfer)

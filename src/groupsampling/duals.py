@@ -88,8 +88,8 @@ def left_inverse_family(a: SequenceMatrix, c: TransferMatrix,
     return LeftInverse(TransferMatrix(a.group, mats), "family")
 
 
-def verify_left_inverse(a: SequenceMatrix, b: LeftInverse | SequenceMatrix) -> float:
-    """Max over characters of the entrywise deviation of B^ A^ from the identity."""
+def _deviations(a: SequenceMatrix, b: LeftInverse | SequenceMatrix) -> np.ndarray:
+    """Per character, the largest entrywise deviation of B^ A^ from the identity."""
     tb = b.transfer if isinstance(b, LeftInverse) else transfer(b)
     if tb.group != a.group:
         raise DimensionMismatchError("left inverse lives on a different dual group")
@@ -97,8 +97,12 @@ def verify_left_inverse(a: SequenceMatrix, b: LeftInverse | SequenceMatrix) -> f
         raise DimensionMismatchError(
             f"cannot multiply {tb.rows}x{tb.cols} by {a.rows}x{a.cols}")
     product = np.matmul(tb.matrices, transfer(a).matrices)
-    residual = product - np.eye(a.cols)
-    return float(np.abs(residual).max())
+    return np.abs(product - np.eye(a.cols)).max(axis=(1, 2))
+
+
+def verify_left_inverse(a: SequenceMatrix, b: LeftInverse | SequenceMatrix) -> float:
+    """Max over characters of the entrywise deviation of B^ A^ from the identity."""
+    return float(_deviations(a, b).max())
 
 
 def square_inverse(a: SequenceMatrix, tol: float | None = None) -> LeftInverse:

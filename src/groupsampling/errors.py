@@ -19,11 +19,11 @@ class DimensionMismatchError(ValueError):
 
 
 class FrameConditionError(ValueError):
-    """A stability precondition (frame or Riesz) is violated.
+    """A stability precondition (frame or Riesz) is violated: every stability refusal.
 
-    Carries the determinant infimum that failed the test so callers can
-    report how far the system is from stability, and, where known, the
-    coordinates ``xi`` of the character at which that infimum is attained.
+    Carries the determinant infimum (or smallest eigenvalue) that failed the test,
+    and the coordinates ``xi`` of the character that caused the refusal.  Only
+    :mod:`.frames` builds these.
     """
 
     def __init__(self, message: str, *, delta: float | None = None,
@@ -34,11 +34,11 @@ class FrameConditionError(ValueError):
         self.xi = xi
 
 
-class SingularCharacterError(ValueError):
-    """A per-character matrix is singular; lists the offending characters."""
+class SingularCharacterError(FrameConditionError):
+    """A per-character matrix is singular; lists the offending characters, the first as ``xi``."""
 
     def __init__(self, message: str, characters: list[tuple[int, ...]]) -> None:
-        super().__init__(message)
+        super().__init__(message, xi=characters[0])
         self.characters = characters
 
 

@@ -5,7 +5,7 @@ N-component sequence space exactly when the determinant of the per-character
 spectral Gram A^(xi)* A^(xi) stays away from zero; a square system is a Riesz
 basis when no A^(xi) is singular.  Because the groups here are finite, the
 essential infimum/supremum over the dual group are plain minima/maxima over
-all characters.  The thresholds and verdicts of the stability policy live here.
+all characters.  The thresholds, verdicts and refusals of the stability policy live here.
 """
 
 from __future__ import annotations
@@ -30,10 +30,23 @@ DEFAULT_FRAME_RTOL = 1e-10
 # equations while delta / beta^N is above this, by the rank-tolerant SVD otherwise.
 NORMAL_EQUATIONS_MIN_RATIO = 1e-8
 # Rank cutoff relative to the largest value: singular values of A^(xi) or T(k) in
-# the SVD pseudo-inverse; in ``models``, fiber Gram eigenvalues and |phi^(xi)|^2.
+# the SVD pseudo-inverse; fiber Gram eigenvalues and |phi^(xi)|^2 in ``_rank_deficient``.
 RANK_RTOL = 1e-12
 # Largest entrywise deviation of B^(xi) A^(xi) from I that a procedure accepts.
 LEFT_INVERSE_RESIDUAL_TOL = 1e-9
+
+
+def _rank_deficient(lo: float, hi: float) -> bool:
+    """Smallest eigenvalue ``lo`` not above ``RANK_RTOL`` times the largest ``hi``."""
+    return bool(lo <= RANK_RTOL * max(hi, np.finfo(float).tiny))
+
+
+def require_rank(message: str, group: GroupSpec, lo: float, hi: float, at: int) -> None:
+    """Refuse a spectrum on ``group`` whose smallest value ``lo``, at index ``at``, is rank
+    deficient against its largest ``hi``, formatting ``message`` with the ``span`` [lo, hi]."""
+    if _rank_deficient(lo, hi):
+        raise FrameConditionError(message.format(span=f"[{lo:.3e}, {hi:.3e}]"), delta=lo,
+                                  xi=group.element_at(at).coords)
 
 
 @dataclass(frozen=True)
@@ -60,13 +73,19 @@ class FrameDiagnostics:
     worst_xi: tuple[int, ...]  # coordinates of the character where delta is attained
 
     def singular_characters(self) -> list[tuple[int, ...]]:
-        """Characters whose |det A^(xi)| is not above sqrt(tol), in index order."""
+        """Characters whose |det A^(xi)| is not above sqrt(tol), NaN included, in index order."""
         if self.abs_dets is None:
             raise DimensionMismatchError(
                 f"singular characters need a square system, got {self.rows}x{self.cols}")
         coords = self.group.coords_array
         return [tuple(int(c) for c in coords[k])
-                for k in np.nonzero(self.abs_dets <= math.sqrt(self.tol))[0]]
+                for k in np.nonzero(~(self.abs_dets > math.sqrt(self.tol)))[0]]
+
+    def refusal(self, message: str, xi: tuple[int, ...] | None = None) -> FrameConditionError:
+        """The error refusing this system at ``xi`` (by default where ``delta`` is), citing
+        this verdict's ``delta`` and ``tol``."""
+        return FrameConditionError(message, delta=self.delta, tol=self.tol,
+                                   xi=self.worst_xi if xi is None else xi)
 
     def require_invertible(self, message: str) -> None:
         """Raise :class:`SingularCharacterError` formatting ``message`` at the first one.
@@ -155,17 +174,11 @@ def diagnostics(a: SequenceMatrix, tol: float | None = None) -> FrameDiagnostics
 
 
 def require_frame(a: SequenceMatrix, tol: float | None = None) -> FrameDiagnostics:
-    """:func:`diagnostics`, raising :class:`FrameConditionError` unless ``is_frame``.
-
-    The error carries ``delta``, the effective ``tol`` and the character ``xi``
-    where ``delta`` is attained.
-    """
+    """:func:`diagnostics`, raising its :meth:`~FrameDiagnostics.refusal` unless ``is_frame``."""
     diag = diagnostics(a, tol)
     if not diag.is_frame:
-        raise FrameConditionError(
-            f"sampling system is not stable: determinant infimum "
-            f"delta={diag.delta:.6e} not above tolerance {diag.tol:.6e}",
-            delta=diag.delta, tol=diag.tol, xi=diag.worst_xi)
+        raise diag.refusal(f"sampling system is not stable: determinant infimum "
+                           f"delta={diag.delta:.6e} not above tolerance {diag.tol:.6e}")
     return diag
 
 

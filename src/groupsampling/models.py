@@ -24,10 +24,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (CapExceededError, DimensionMismatchError, FrameConditionError,
-                     GroupMismatchError)
+from .errors import CapExceededError, DimensionMismatchError, GroupMismatchError
 from .duals import _pseudo_inverse
-from .frames import DEFAULT_ORACLE_CAP, RANK_RTOL, _spectrum
+from .frames import DEFAULT_ORACLE_CAP, _rank_deficient, _spectrum, require_rank
 from .groups import (GroupElement, GroupSequence, GroupSpec, ProductSubgroup, _same_group,
                      convolve, involution)
 from .systems import SequenceMatrix, TransferMatrix, VectorSequence
@@ -122,13 +121,14 @@ class TranslationModel:
         """Frame bounds of the window translates over the whole group.
 
         These are the extreme values of |phi^|^2 over all characters; the
-        family spans the full space exactly when the lower bound is positive.
+        family spans the full space when the lower bound passes the rank rule.
         """
         return (float(self.window_spectrum.min()), float(self.window_spectrum.max()))
 
     @property
     def window_spans_everything(self) -> bool:
-        return self.window_bounds[0] > 0.0
+        """The verdict of :func:`reproducing_kernel`: the rank rule on :attr:`window_bounds`."""
+        return not _rank_deficient(*self.window_bounds)
 
     def to_json_dict(self) -> dict:
         if self.phi.values.size != self.ambient.order:
@@ -186,11 +186,6 @@ def sample_matrix(model: TranslationModel, probes: list[GroupSequence]) -> Seque
     return SequenceMatrix(habs, values)
 
 
-def _rank_deficient(lo: float, hi: float) -> bool:
-    """Smallest eigenvalue ``lo`` not above ``RANK_RTOL`` times the largest ``hi``."""
-    return bool(lo <= RANK_RTOL * max(hi, np.finfo(float).tiny))
-
-
 def riesz_sequence_check(model: TranslationModel,
                          cap: int = DEFAULT_ORACLE_CAP) -> tuple[float, float]:
     """Extreme eigenvalues of the dense Gram matrix of the generator translates.
@@ -210,12 +205,8 @@ def _coefficient_spectra(model: TranslationModel, f: GroupSequence) -> np.ndarra
     """(|H|, N) transforms over H of the expansion coefficients: the kept fiber solves of f^."""
     if f.group != model.ambient:
         raise GroupMismatchError("input is not on the ambient group")
-    lo, hi, worst = model.riesz_bounds
-    if _rank_deficient(lo, hi):
-        raise FrameConditionError(
-            f"generator translates are not a Riesz sequence "
-            f"(Gram eigenvalues span [{lo:.3e}, {hi:.3e}])", delta=lo,
-            xi=model.subgroup.abstract_group.element_at(worst).coords)
+    require_rank("generator translates are not a Riesz sequence (Gram eigenvalues span {span})",
+                 model.subgroup.abstract_group, *model.riesz_bounds)
     fhat = model.ambient.fft(f.values)[model.subgroup.alias_indices, None]  # (k, alias, 1)
     return np.matmul(model.coefficient_operator, fhat)[:, :, 0]
 
@@ -267,13 +258,9 @@ def reproducing_kernel(model: TranslationModel) -> ReproducingKernel:
     """
     if len(model.window_spectra) != 1:
         raise DimensionMismatchError("the kernel of several windows is a projection, not I")
-    lo, hi = model.window_bounds
-    if _rank_deficient(lo, hi):
-        raise FrameConditionError(
-            f"window frame operator is singular (eigenvalues span "
-            f"[{lo:.3e}, {hi:.3e}]); the window translates do not "
-            f"span the whole space", delta=lo,
-            xi=model.ambient.element_at(np.argmin(model.window_spectrum)).coords)
+    require_rank("window frame operator is singular (eigenvalues span {span}); the window "
+                 "translates do not span the whole space", model.ambient, *model.window_bounds,
+                 int(np.argmin(model.window_spectrum)))
     return ReproducingKernel(model.ambient)
 
 

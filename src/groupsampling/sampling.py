@@ -22,11 +22,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .duals import (LeftInverse, left_inverse_family, moore_penrose, square_inverse,
-                    verify_left_inverse)
-from .errors import DimensionMismatchError, FrameConditionError, GroupMismatchError
+from .duals import (LeftInverse, _deviations, left_inverse_family, moore_penrose,
+                    square_inverse, verify_left_inverse)
+from .errors import DimensionMismatchError, GroupMismatchError
 from .frames import LEFT_INVERSE_RESIDUAL_TOL, FrameDiagnostics, diagnostics, require_frame
-from .groups import GroupElement, GroupSequence, ProductSubgroup, coset_representatives
+from .groups import GroupSequence, ProductSubgroup
 from .models import (FunctionOnG, SemidirectModel, TranslationModel, _coefficient_spectra,
                      analysis_transform, sample_matrix, synthesize)
 from .systems import SequenceMatrix, TransferMatrix, VectorSequence, apply, transfer
@@ -113,10 +113,9 @@ def make_procedure(model: TranslationModel,
     dual = _resolve_dual(system, left_inverse, c, tol)
     residual = verify_left_inverse(system, dual)
     if residual >= LEFT_INVERSE_RESIDUAL_TOL:
-        raise FrameConditionError(
-            f"left inverse residual {residual:.3e} exceeds "
-            f"{LEFT_INVERSE_RESIDUAL_TOL:.0e}", delta=diag.delta, tol=diag.tol,
-            xi=diag.worst_xi)
+        worst = system.group.element_at(int(np.argmax(_deviations(system, dual))))
+        raise diag.refusal(f"left inverse residual {residual:.3e} exceeds "
+                           f"{LEFT_INVERSE_RESIDUAL_TOL:.0e}", worst.coords)
     return SamplingProcedure(model=model, system=system, diag=diag, dual=dual)
 
 
@@ -202,11 +201,6 @@ class FiniteIndexReduction:
     base: TranslationModel
     inner: ProductSubgroup           # subgroup of the abstract sampling group
     model: TranslationModel          # regrouped model over the composed subgroup
-    coset_reps: tuple[GroupElement, ...]
-
-    @property
-    def cosets(self) -> int:
-        return self.inner.index
 
     def regroup_coefficients(self, x: VectorSequence) -> VectorSequence:
         """x_{nl}(r) = x_n(rep_l + embed(r)); a pure re-indexing."""
@@ -220,7 +214,7 @@ class FiniteIndexReduction:
         """Inverse re-indexing back to the base sampling group."""
         habs = self.base.subgroup.abstract_group
         n_base = self.base.n_generators
-        if x.group != self.inner.abstract_group or x.n_components != n_base * self.cosets:
+        if x.group != self.inner.abstract_group or x.n_components != n_base * self.inner.index:
             raise DimensionMismatchError("coefficients do not match the regrouped model")
         back = np.argsort(self.inner.coset_indices, axis=None)  # point -> (coset, r)
         return VectorSequence(habs, x.values.reshape(n_base, -1)[:, back])
@@ -233,7 +227,7 @@ class FiniteIndexReduction:
         cosets = self.inner.coset_indices
         idx = habs.differences(cosets[0], cosets[:, 0]).T  # (l, v): embed(v) - rep_l
         return SequenceMatrix(self.inner.abstract_group,
-                              a.values[:, :, idx].reshape(a.rows, a.cols * self.cosets, -1))
+                              a.values[:, :, idx].reshape(a.rows, a.cols * self.inner.index, -1))
 
     def downsample(self, samples: VectorSequence) -> VectorSequence:
         """Restrict sample sequences over the base group to the inner subgroup."""
@@ -246,7 +240,6 @@ class FiniteIndexReduction:
 def finite_index_model(model: TranslationModel, inner_strides) -> FiniteIndexReduction:
     """Split the model's generators over the cosets of a finite-index subgroup."""
     inner = ProductSubgroup(model.subgroup.abstract_group, inner_strides)
-    reps = tuple(coset_representatives(inner))
     shifts = model.subgroup.embedding_indices[inner.coset_indices[:, 0]]  # embed(rep_l)
     translates = model.generator_translates(shifts).reshape(-1, model.ambient.order)
     regrouped = TranslationModel(
@@ -255,7 +248,7 @@ def finite_index_model(model: TranslationModel, inner_strides) -> FiniteIndexRed
         subgroup=model.subgroup.refine(inner.strides),
         generators=tuple(GroupSequence(model.ambient, v) for v in translates),
     )
-    return FiniteIndexReduction(base=model, inner=inner, model=regrouped, coset_reps=reps)
+    return FiniteIndexReduction(base=model, inner=inner, model=regrouped)
 
 
 def finite_index_procedure(model: TranslationModel, inner_strides,
@@ -270,13 +263,13 @@ def finite_index_procedure(model: TranslationModel, inner_strides,
     procedure's model is the regrouped one from :func:`finite_index_model`.
     """
     red = finite_index_model(model, inner_strides)
-    needed = model.n_generators * red.cosets
+    needed = model.n_generators * red.inner.index
     if system is not None or probes is not None:
         channels = system.rows if system is not None else len(probes)
         if channels < needed:
             raise DimensionMismatchError(
                 f"need at least {needed} sample channels for {model.n_generators} "
-                f"generators regrouped over {red.cosets} cosets; got {channels}")
+                f"generators regrouped over {red.inner.index} cosets; got {channels}")
     return make_procedure(red.model, system=system, probes=probes,
                           left_inverse=left_inverse, c=c, tol=tol)
 
@@ -292,9 +285,8 @@ def interpolation_check(proc: SamplingProcedure) -> float:
             f"interpolation needs a square system, got "
             f"{proc.system.rows}x{proc.system.cols}")
     if not proc.diag.is_riesz:
-        raise FrameConditionError(
-            "interpolation needs a Riesz system (invertible at every character)",
-            delta=proc.diag.delta, tol=proc.diag.tol, xi=proc.diag.worst_xi)
+        raise proc.diag.refusal("interpolation needs a Riesz system (invertible at every "
+                                "character)", proc.diag.singular_characters()[0])
     n = proc.system.rows
     worst = 0.0
     for n_prime in range(n):

@@ -189,6 +189,25 @@ def test_config_holds_the_parsed_transfer():
     assert choice.parameter_for(None) is choice.transfer
 
 
+_TRANSFER = {"moduli": [4], "rows": 1, "cols": 1, "re": [[[1.0]]] * 4, "im": [[[0.0]]] * 4}
+
+
+@pytest.mark.parametrize("left_inverse", [
+    *[{"kind": kind, "transfer": _TRANSFER} for kind in ("moore_penrose", "mp", "square")],
+    *[{"kind": "family", "transfer": _TRANSFER, **extra}
+      for extra in ({"seed": 3}, {"scale": 2.0}, {"seed": 3, "scale": 2.0})],
+])
+@pytest.mark.parametrize("command", ["analyze", "roundtrip"])
+def test_a_transfer_the_config_cannot_use_exits_two(command, left_inverse, tmp_path, capsys):
+    """An explicit family parameter is refused under another kind, and next to the seed
+    or scale that would draw one, instead of being read and ignored."""
+    path = _config_with(tmp_path, left_inverse=left_inverse)
+    code, out, err = run_cli([command, path], capsys)
+    assert (code, out) == (2, "")
+    assert err == (f"error: config.left_inverse.transfer: only kind 'family' without 'seed' or "
+                   f"'scale' takes a transfer, got {sorted(left_inverse)}\n")
+
+
 @pytest.mark.parametrize("argv", [["roundtrip", SCENARIOS["identity"], "--seed", "-5"],
                                   ["verify", "--all", "--seed", "-1"]])
 def test_negative_seed_option_exits_two(argv, capsys):

@@ -5,8 +5,8 @@ import pytest
 
 from groupsampling import (CapExceededError, FrameConditionError, GroupSequence,
                            GroupSpec, ProductSubgroup, TranslationModel, VectorSequence,
-                           analysis_transform, coefficients_of, dft, reproducing_kernel,
-                           riesz_sequence_check, sample_matrix, synthesize)
+                           analysis_transform, coefficients_of, dft, idft,
+                           reproducing_kernel, riesz_sequence_check, sample_matrix, synthesize)
 
 
 def shannon_z4_model():
@@ -254,6 +254,20 @@ class TestReproducingKernel:
                               + 1j * rng.standard_normal(4))
             big_f = analysis_transform(model, f)
             assert k.residual(big_f) < 1e-8
+
+    def test_nearly_vanishing_window_spans_nothing_the_kernel_refuses(self):
+        """|phi^|^2 is 1 except 1e-14 at (3,): positive, but below the rank rule."""
+        g = GroupSpec((8,))
+        spectrum = np.ones(8, dtype=np.complex128)
+        spectrum[3] = 1e-7
+        model = TranslationModel(g, idft(GroupSequence(g, spectrum)), ProductSubgroup(g, (1,)),
+                                 (GroupSequence.delta(g),))
+        lo, hi = model.window_bounds
+        assert lo == pytest.approx(1e-14) and hi == pytest.approx(1.0)
+        assert not model.window_spans_everything
+        with pytest.raises(FrameConditionError) as err:
+            reproducing_kernel(model)
+        assert err.value.xi == (3,)
 
     def test_singular_window_rejected(self):
         g = GroupSpec((2,))

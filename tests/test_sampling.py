@@ -6,11 +6,12 @@ import pytest
 from groupsampling import (DimensionMismatchError, GroupMismatchError, GroupSequence,
                            GroupSpec, ProductSubgroup, SequenceMatrix, SingularCharacterError,
                            TransferMatrix, TranslationModel, VectorSequence,
-                           analysis_transform, apply, diagnostics, finite_index_model,
-                           finite_index_procedure, interpolation_check, kernel_witness,
-                           make_procedure, reconstruct_coefficients, reconstruct_function,
-                           sample_matrix, semidirect_sample_and_reconstruct,
-                           shannon_procedure, synthesize, take_samples)
+                           analysis_transform, apply, coset_representatives, diagnostics,
+                           finite_index_model, finite_index_procedure, interpolation_check,
+                           kernel_witness, make_procedure, reconstruct_coefficients,
+                           reconstruct_function, sample_matrix,
+                           semidirect_sample_and_reconstruct, shannon_procedure, synthesize,
+                           take_samples)
 
 
 def shannon_z4_model():
@@ -289,7 +290,7 @@ class TestFiniteIndex:
     def test_trivial_inner_subgroup(self):
         model, probes, _ = z8_finite_index_setup()
         red = finite_index_model(model, (1,))
-        assert red.cosets == 1
+        assert red.inner.index == 1
         assert red.model.n_generators == model.n_generators
         np.testing.assert_array_equal(red.model.generators[0].values,
                                       model.generators[0].values)
@@ -298,11 +299,11 @@ class TestFiniteIndex:
     def test_generator_ordering_and_translation(self):
         model, _, _ = z8_finite_index_setup()
         red = finite_index_model(model, (2,))
-        assert red.cosets == 2
+        assert red.inner.index == 2
         assert red.model.subgroup.strides == (4,)
         base = model.generators[0]
         np.testing.assert_array_equal(red.model.generators[0].values, base.values)
-        shifted = base.shift(model.subgroup.embed(red.coset_reps[1]))
+        shifted = base.shift(model.subgroup.embed(coset_representatives(red.inner)[1]))
         np.testing.assert_array_equal(red.model.generators[1].values, shifted.values)
 
     def test_regroup_roundtrip_exact(self):
